@@ -6,9 +6,8 @@ mounted beside the lease listener on both :class:`LeaseServer` and
 backend surface (:mod:`repro.admin.plane`): Prometheus scrape, liveness
 and readiness, the paginated live lease book, per-trace span trees, and
 two durable mutations — force-release and worker drain/undrain — that
-ride the shard dispatch queues as first-class protocol frames, so they
-are WAL'd, replayable, and exactly-once under crash-retry like any
-client op.
+are applied on the shards like any client op, so they are WAL'd,
+replayable, and exactly-once under crash-retry.
 """
 
 from .http import (

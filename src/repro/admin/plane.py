@@ -24,9 +24,9 @@ Backend methods may be sync or async — the plane awaits coroutines and
 passes plain values through — so each backend uses whichever is natural
 (a router's drain must round-trip to a worker; a server's is a state
 flip).  Reads are pure observation.  The two mutations are *durable by
-construction*: force-release is injected into the shard dispatch queues
-as a first-class ``release`` frame, so it rides the WAL, lands in the
-applied trace as a replayable event, and carries the standard
+construction*: force-release is applied as an ordinary ``release`` on
+its shard and committed to the WAL before it is answered, so it lands
+in the applied trace as a replayable event and carries the standard
 retry-dedup identity — an admin mutation survives ``kill -9`` with
 exactly-once semantics, same as any client op.
 

@@ -403,7 +403,6 @@ def cmd_engine_serve(args) -> int:
         num_resources=args.resources,
         num_shards=args.shards,
         record=args.record,
-        session_window=args.window,
         idle_timeout=args.idle_timeout,
         metrics=metrics,
         trace=trace,
@@ -478,7 +477,6 @@ def cmd_engine_cluster(args) -> int:
         num_types=args.num_types,
         cost_growth=args.cost_growth,
         record=args.record,
-        session_window=args.window,
         wal_root=args.wal_root,
         fsync=args.fsync,
         snapshot_every=args.snapshot_every,
@@ -1225,8 +1223,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine_serve.add_argument("--resources", type=int, default=8,
                               help="resource id space [0, N)")
-    engine_serve.add_argument("--shards", type=int, default=4,
-                              help="shard brokers (each its own dispatch queue)")
+    engine_serve.add_argument(
+        "--shards", type=int, default=4,
+        help="shard brokers (each applies its frames in read order on the "
+        "one event loop, with its own WAL under --wal-dir)",
+    )
     engine_serve.add_argument("--num-types", type=int, default=4)
     engine_serve.add_argument(
         "--cost-growth", type=float, default=2.0,
@@ -1236,8 +1237,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--record", action=argparse.BooleanOptionalAction, default=True,
         help="keep per-shard applied-event logs for the trace op",
     )
-    engine_serve.add_argument("--window", type=int, default=64,
-                              help="per-tenant in-flight request bound")
     engine_serve.add_argument("--idle-timeout", type=float, default=60.0,
                               help="seconds before idle sessions are reaped")
     engine_serve.add_argument(
@@ -1258,8 +1257,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine_serve.add_argument(
         "--fsync", default="batch", choices=("off", "batch", "always"),
-        help="WAL fsync policy; only 'always' makes acked ops survive "
-        "kill -9",
+        help="WAL fsync policy, applied once per read chunk before its "
+        "replies; only 'always' makes acked ops survive power loss "
+        "(every mode survives kill -9)",
     )
     engine_serve.add_argument(
         "--snapshot-every", type=int, default=None, metavar="N",
@@ -1326,8 +1326,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--record", action=argparse.BooleanOptionalAction, default=True,
         help="workers keep applied-event logs for the trace op",
     )
-    engine_cluster.add_argument("--window", type=int, default=64,
-                                help="per-tenant in-flight bound (per worker)")
     engine_cluster.add_argument(
         "--worker-window", type=int, default=1024,
         help="router-side per-worker in-flight op bound (backpressure)",
@@ -1351,7 +1349,7 @@ def build_parser() -> argparse.ArgumentParser:
     engine_cluster.add_argument(
         "--fsync", default="batch", choices=("off", "batch", "always"),
         help="worker WAL fsync policy; only 'always' makes acked ops "
-        "survive kill -9",
+        "survive power loss (every mode survives kill -9)",
     )
     engine_cluster.add_argument(
         "--snapshot-every", type=int, default=None, metavar="N",

@@ -70,7 +70,6 @@ class ClusterInstance:
     trace: BrokerTraceInstance
     num_workers: int
     shards_per_worker: int
-    session_window: int = 64
     codec: str = CODEC_BIN
     worker_window: int = 1024
     record: bool = False
@@ -121,7 +120,6 @@ class ClusterInstance:
             num_types=self.trace.schedule.num_types,
             cost_growth=_cost_growth(self.trace.schedule),
             record=self.record,
-            session_window=self.session_window,
             wal_root=self.wal_root,
             fsync=self.fsync,
             snapshot_every=self.snapshot_every,
@@ -151,7 +149,6 @@ def build_cluster_instance(
     cost_growth: float = 2.0,
     num_workers: int = 2,
     shards_per_worker: int = 2,
-    session_window: int = 64,
     codec: str = CODEC_BIN,
     record: bool = False,
     wal_root: str | None = None,
@@ -192,7 +189,6 @@ def build_cluster_instance(
         trace=trace,
         num_workers=num_workers,
         shards_per_worker=shards_per_worker,
-        session_window=session_window,
         codec=codec,
         record=record,
         wal_root=wal_root,

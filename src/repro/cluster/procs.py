@@ -76,7 +76,6 @@ def worker_command(
         "--num-types", str(spec.num_types),
         "--cost-growth", repr(spec.cost_growth),
         "--record" if spec.record else "--no-record",
-        "--window", str(spec.session_window),
         "--metrics" if spec.worker_metrics else "--no-metrics",
     ]
     if trace_path is not None:

@@ -74,7 +74,6 @@ class ClusterSpec:
         cost_growth: schedule cost multiplier (2.0 = exact float sums,
             which the byte-identity gates rely on).
         record: workers keep applied-event logs for the ``trace`` op.
-        session_window: per-tenant in-flight bound inside each worker.
         wal_root: directory under which each worker keeps its per-shard
             write-ahead logs (``wal_root/worker-<i>/shard-<j>/``);
             ``None`` runs the fleet without durability.  A WAL'd fleet
@@ -82,8 +81,8 @@ class ClusterSpec:
             what lets a recovered worker deduplicate the router's
             retried in-flight ops, the exactly-once half of recovery.
         fsync: WAL fsync policy for every worker (``off`` / ``batch`` /
-            ``always``); only ``always`` makes acked ops survive
-            ``kill -9``.
+            ``always``); only ``always`` makes acked ops survive power
+            loss.
         snapshot_every: appended events between periodic broker
             snapshots inside each worker; ``None`` keeps the server
             default.
@@ -113,7 +112,6 @@ class ClusterSpec:
     num_types: int = 4
     cost_growth: float = 2.0
     record: bool = False
-    session_window: int = 64
     wal_root: str | None = None
     fsync: str = "batch"
     snapshot_every: int | None = None

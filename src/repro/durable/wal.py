@@ -21,14 +21,17 @@ One :class:`ShardWal` owns a directory holding two files:
 The log handle is unbuffered: every append is a single ``write``
 syscall, so a record sits in the OS page cache — and survives this
 process's own death, ``kill -9`` included — the moment :meth:`append`
-returns, under every fsync mode.  The **fsync policy** (``fsync=``)
-therefore only governs durability against a *host* crash: ``"off"``
-never fsyncs, ``"batch"`` group-commits an fsync at burst boundaries
-(when a shard's dispatch queue drains) at most every
-:data:`BATCH_SYNC_INTERVAL` seconds, and ``"always"`` fsyncs every
-append before the caller acks.  Only ``"always"`` makes an acked
-operation power-loss durable; ``"batch"`` bounds that loss window to
-the sync interval.  Recovery is correct under any mode: the recovered
+returns, under every fsync mode.  :meth:`append` only writes; the
+**fsync policy** (``fsync=``) is applied by :meth:`commit`, which the
+server calls once per read chunk for every shard the chunk wrote to,
+before any of the chunk's replies leave the process (group commit).  It
+only governs durability against a *host* crash: ``"off"`` never fsyncs,
+``"batch"`` fsyncs at a commit at most every
+:data:`BATCH_SYNC_INTERVAL` seconds, and ``"always"`` fsyncs at every
+commit that follows an append, so every acked operation is on disk —
+one fsync covers the whole chunk's records.  Only ``"always"`` makes an
+acked operation power-loss durable; ``"batch"`` bounds that loss window
+to the sync interval.  Recovery is correct under any mode: the recovered
 state is exactly the prefix the log captured, and the cluster layer
 re-drives anything un-acked.
 
@@ -64,17 +67,17 @@ from ..serve.protocol import (
 #: Valid ``fsync=`` policies, weakest first.
 FSYNC_MODES: tuple[str, ...] = ("off", "batch", "always")
 
-#: Minimum seconds between fsyncs under ``fsync="batch"``.  Batch
-#: boundaries on a busy single-core server can arrive once per request,
-#: which would degrade group commit into per-op fsync; rate-limiting the
-#: sync keeps batch mode cheap while bounding the power-loss window.
-#: Appends land in the OS page cache immediately (the handle is
-#: unbuffered), so only a *host* crash can eat the portion synced less
-#: than this interval ago — the same order of window as PostgreSQL's
-#: asynchronous commit or a metadata-journalled filesystem's commit
-#: interval.  Every shard fsyncs on the event-loop thread, so the
-#: interval also caps how often the whole server stalls behind the
-#: disk.
+#: Minimum seconds between fsyncs under ``fsync="batch"``.  The server
+#: commits once per read chunk, and a lightly loaded server's chunks
+#: hold one request each, which would degrade group commit into per-op
+#: fsync; rate-limiting the sync keeps batch mode cheap while bounding
+#: the power-loss window.  Appends land in the OS page cache immediately
+#: (the handle is unbuffered), so only a *host* crash can eat the
+#: portion synced less than this interval ago — the same order of window
+#: as PostgreSQL's asynchronous commit or a metadata-journalled
+#: filesystem's commit interval.  Every shard fsyncs on the event-loop
+#: thread, so the interval also caps how often the whole server stalls
+#: behind the disk.
 BATCH_SYNC_INTERVAL = 0.25
 
 #: Default applied-event count between automatic snapshots.
@@ -163,9 +166,9 @@ class ShardWal:
     ) -> int:
         """Append one applied-event record; returns its sequence number.
 
-        Under ``fsync="always"`` the record is durable when this
-        returns; other modes defer the fsync to :meth:`flush` (batch
-        boundaries).  The frame is packed directly into the binary
+        Only writes: the record is durable against a host crash once a
+        later :meth:`commit` fsyncs it.  The frame is packed directly
+        into the binary
         mutation layout — byte-identical to
         ``encode_frame(request(op, seq, ...), CODEC_BIN)``, minus the
         dict round-trip, because this runs once per applied event on
@@ -190,8 +193,6 @@ class ShardWal:
         if self._appends is not None:
             self._appends.inc()
             self._bytes.inc(len(frame))
-        if self.fsync == "always":
-            self._sync()
         return self.seq
 
     def _sync(self) -> None:
@@ -201,20 +202,21 @@ class ShardWal:
         if self._fsyncs is not None:
             self._fsyncs.inc()
 
-    def flush(self) -> None:
-        """Batch boundary: maybe group-commit an fsync.
+    def commit(self) -> None:
+        """Commit boundary: fsync what was appended, per the policy.
 
-        Appends already sit in the page cache (the handle is
-        unbuffered), so ``"batch"`` only fsyncs here — and only when
-        the last sync is at least :data:`BATCH_SYNC_INTERVAL` old; a
-        busy server's boundaries can arrive per-request, and syncing
-        each would turn batch mode into ``"always"``.  ``"off"`` and
-        ``"always"`` have nothing to do.
+        ``"always"`` fsyncs whenever anything was appended since the
+        last sync — one fsync for however many records the caller's
+        chunk wrote.  ``"batch"`` fsyncs only when the last sync is at
+        least :data:`BATCH_SYNC_INTERVAL` old.  ``"off"`` does nothing.
+        An fsync that raises leaves the log dirty, so the next commit
+        tries again.
         """
+        if not self._dirty or self.fsync == "off":
+            return
         if (
-            self._dirty
-            and self.fsync == "batch"
-            and time.monotonic() - self._last_sync >= BATCH_SYNC_INTERVAL
+            self.fsync == "always"
+            or time.monotonic() - self._last_sync >= BATCH_SYNC_INTERVAL
         ):
             self._sync()
 
@@ -260,13 +262,13 @@ class ShardWal:
             os.close(fd)
 
     def close(self) -> None:
-        """Close the log handle, syncing a dirty batch-mode log first.
+        """Close the log handle, syncing a dirty log first (unless off).
 
-        The sync is unconditional — a clean close should leave no
+        The sync ignores the batch clock — a clean close should leave no
         power-loss window behind, whatever the group-commit clock says.
         """
         if not self._handle.closed:
-            if self._dirty and self.fsync == "batch":
+            if self._dirty and self.fsync != "off":
                 self._sync()
             self._handle.close()
 

@@ -620,15 +620,15 @@ def measure_p06(mode: str = "smoke") -> dict:
     Three arms per round, interleaved so machine drift hits them all:
 
     * ``off`` — no WAL at all: the library default, the baseline.
-    * ``batch`` — WAL on, fsync at dispatch-queue drain: the ``engine
+    * ``batch`` — WAL on, rate-limited fsync at chunk commits: the ``engine
       serve --wal-dir`` default.  This is the gated arm — batched
       durability must keep at least :data:`DURABLE_BATCH_FLOOR` of the
       WAL-off rate from the same run.
-    * ``always`` — fsync per append: the only mode under which an
-      *acked* op survives ``kill -9``, and the mode ``engine chaos``
-      runs.  Recorded for the trajectory, not gated: its cost is the
-      disk's sync latency, wildly machine-dependent, and pricing it is
-      the point.
+    * ``always`` — fsync at every chunk commit: the only mode under
+      which an *acked* op survives power loss, and the mode
+      ``engine chaos`` runs.  Recorded for the trajectory, not gated:
+      its cost is the disk's sync latency, wildly machine-dependent,
+      and pricing it is the point.
 
     Each durable arm runs against a fresh WAL directory every round (a
     reused directory would recover the previous round before serving).

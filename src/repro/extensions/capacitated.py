@@ -22,15 +22,7 @@ from ..core.lease import Lease
 from ..core.store import LeaseStore
 from ..errors import InfeasibleError, SolverError
 from ..facility.model import Connection, FacilityLeasingInstance
-
-try:
-    import numpy as _np
-    from scipy import optimize as _opt
-    from scipy import sparse as _sparse
-
-    HAVE_SCIPY = True
-except Exception:  # pragma: no cover - exercised only without scipy
-    HAVE_SCIPY = False
+from ..lp.solver import HAVE_SCIPY, scipy_modules
 
 
 @dataclass(frozen=True)
@@ -199,6 +191,7 @@ def optimal_ilp(instance: CapacitatedInstance) -> float:
     """
     if not HAVE_SCIPY:
         raise SolverError("scipy is required for the capacitated ILP")
+    _np, _opt, _sparse = scipy_modules()
     base = instance.base
     arrival_steps = sorted({client.arrival for client in base.clients})
     windows: dict[tuple[int, int, int], Lease] = {}

@@ -20,16 +20,8 @@ from dataclasses import dataclass
 from ..core.lease import Lease
 from ..core.results import OptBounds
 from ..errors import SolverError
+from ..lp.solver import HAVE_SCIPY, scipy_modules
 from .model import Connection, FacilityLeasingInstance
-
-try:
-    import numpy as _np
-    from scipy import optimize as _opt
-    from scipy import sparse as _sparse
-
-    HAVE_SCIPY = True
-except Exception:  # pragma: no cover - exercised only without scipy
-    HAVE_SCIPY = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,6 +78,7 @@ def optimal_ilp(instance: FacilityLeasingInstance) -> OfflineFacilitySolution:
     """Exact optimum via scipy/HiGHS mixed-integer programming."""
     if not HAVE_SCIPY:
         raise SolverError("scipy is required for the facility ILP")
+    _np, _opt, _sparse = scipy_modules()
     windows = _candidate_windows(instance)
     num_windows = len(windows)
     clients = instance.clients
@@ -179,6 +172,7 @@ def lp_lower_bound(instance: FacilityLeasingInstance) -> float:
 
 
 def _relaxed(instance: FacilityLeasingInstance) -> float:
+    _np, _opt, _sparse = scipy_modules()
     windows = _candidate_windows(instance)
     num_windows = len(windows)
     clients = instance.clients

@@ -10,6 +10,8 @@ bound — experiments report which method produced each number.
 
 from __future__ import annotations
 
+import importlib.util
+
 from ..core.results import OptBounds
 from ..errors import SolverError
 from .branch_and_bound import (
@@ -20,18 +22,27 @@ from .branch_and_bound import (
 )
 from .model import CoveringProgram
 
-try:  # scipy is an optional, preferred backend
-    import numpy as _np
-    from scipy import optimize as _opt
-    from scipy import sparse as _sparse
+#: Is the optional, preferred scipy/HiGHS backend installed?  Answered
+#: by the import system without importing it: scipy and numpy load on
+#: the first solve (:func:`scipy_modules`), so a process that never
+#: solves — every ``engine serve`` and ``engine cluster`` process — never
+#: pays their import time or memory.
+HAVE_SCIPY = all(
+    importlib.util.find_spec(name) is not None for name in ("numpy", "scipy")
+)
 
-    HAVE_SCIPY = True
-except Exception:  # pragma: no cover - exercised only without scipy
-    HAVE_SCIPY = False
+
+def scipy_modules():
+    """``(numpy, scipy.optimize, scipy.sparse)``, imported on first use."""
+    import numpy
+    from scipy import optimize, sparse
+
+    return numpy, optimize, sparse
 
 
 def _scipy_matrices(program: CoveringProgram):
     """Assemble (costs, A, b) for scipy from a covering program."""
+    _np, _, _sparse = scipy_modules()
     rows, cols, data = [], [], []
     rhs = []
     for row_index, row in enumerate(program.constraints):
@@ -63,6 +74,7 @@ def solve_ilp(
         return IlpSolution(value=0.0, x=(), method="trivial")
 
     if HAVE_SCIPY:
+        _np, _opt, _ = scipy_modules()
         costs, matrix, rhs = _scipy_matrices(program)
         constraints = (
             _opt.LinearConstraint(matrix, lb=rhs, ub=_np.inf)
@@ -96,6 +108,7 @@ def lp_relaxation_value(program: CoveringProgram) -> tuple[float, str]:
     if program.num_variables == 0:
         return 0.0, "trivial"
     if HAVE_SCIPY:
+        _, _opt, _ = scipy_modules()
         costs, matrix, rhs = _scipy_matrices(program)
         result = _opt.linprog(
             c=costs,

@@ -37,11 +37,6 @@ _SHARD_GAUGES = (
         "broker_expiry_heap_size",
         "Entries in the shard broker's expiry heap (including stale).",
     ),
-    (
-        "queue_depth",
-        "serve_queue_depth",
-        "Requests waiting in the shard's dispatch queue at scrape time.",
-    ),
 )
 
 
@@ -84,26 +79,11 @@ def export_sessions(
         help="Live tenant sessions.",
         **labels,
     ).set(snapshot["tenants"])
-    gauge(
-        "serve_session_inflight",
-        help="Mutation requests currently in flight across all tenants.",
-        **labels,
-    ).set(snapshot["inflight"])
-    gauge(
-        "serve_session_window",
-        help="Per-tenant in-flight window bound.",
-        **labels,
-    ).set(snapshot["window"])
     counter(
         "serve_session_served_total",
         help="Mutation requests answered across all live sessions.",
         **labels,
     ).inc(snapshot["served"])
-    counter(
-        "serve_session_rejected_total",
-        help="Requests refused with backpressure across live sessions.",
-        **labels,
-    ).inc(snapshot["rejected"])
     counter(
         "serve_session_expired_total",
         help="Idle tenant sessions reaped since server start.",

@@ -9,14 +9,15 @@ sharing one Python call stack.
   (``acquire / renew / release / tick / stats / report / trace / drain /
   shutdown``) with request ids and typed error frames.
 * :mod:`repro.serve.server` — :class:`LeaseServer`, an asyncio TCP +
-  unix-socket server that owns one broker per resource shard (PR 2's
-  shard ranges) and serializes every mutation through that shard's
-  dispatch queue; :class:`ServerThread` hosts its loop for sync callers.
+  unix-socket server that owns one broker per resource shard and applies
+  every frame on that broker in read order, on the one event loop, with
+  one WAL commit per read chunk; :class:`ServerThread` hosts its loop
+  for sync callers.
 * :mod:`repro.serve.client` — :class:`AsyncLeaseClient` (pipelined) and
   :class:`AsyncClientPool`, plus the blocking reconnecting
   :class:`LeaseClient`.
-* :mod:`repro.serve.session` — per-tenant sessions: bounded in-flight
-  windows (backpressure error frames) and idle expiry.
+* :mod:`repro.serve.session` — per-tenant sessions: served counts and
+  idle expiry.
 * :mod:`repro.serve.loadgen` — closed-loop tenant workloads over unix
   sockets whose served aggregate is checked byte-identical against an
   inline replay of the merged trace; powers the ``serve-*`` scenario
@@ -48,6 +49,7 @@ from .protocol import (
     CODEC_JSON,
     CODECS,
     MAX_FRAME_BYTES,
+    MAX_REQUEST_BYTES,
     OPS,
     PROTOCOL_VERSION,
     FrameDecoder,
@@ -74,6 +76,7 @@ __all__ = [
     "LeaseServer",
     "LeaseTimeoutError",
     "MAX_FRAME_BYTES",
+    "MAX_REQUEST_BYTES",
     "OPS",
     "PROTOCOL_VERSION",
     "ProtocolError",

@@ -84,13 +84,11 @@ class ServeInstance:
 
     ``trace`` is the full (unsharded) broker-trace instance whose inline
     replay is the ground truth; ``num_shards`` is how the server
-    partitions the resources; ``session_window`` bounds each tenant's
-    in-flight requests (closed-loop tenants use exactly one).
+    partitions the resources.
     """
 
     trace: BrokerTraceInstance
     num_shards: int
-    session_window: int = 64
 
     @property
     def tenants(self) -> tuple[str, ...]:
@@ -117,7 +115,6 @@ def build_serve_instance(
     num_types: int = 4,
     cost_growth: float = 2.0,
     num_shards: int = 4,
-    session_window: int = 64,
 ) -> ServeInstance:
     """A serve instance over :func:`generate_resource_trace` streams.
 
@@ -144,9 +141,7 @@ def build_serve_instance(
         resources=(0, num_resources),
         events=events,
     )
-    return ServeInstance(
-        trace=trace, num_shards=num_shards, session_window=session_window
-    )
+    return ServeInstance(trace=trace, num_shards=num_shards)
 
 
 # ----------------------------------------------------------------------
@@ -314,8 +309,8 @@ async def drive_tenants_direct(
     the fleet bulk-synchronously — the day's tick is awaited on the
     control connection *before* any tenant fires, and the tick barrier
     completes on every worker before it answers, so every direct
-    mutation a tenant then sends lands behind the tick in its worker's
-    dispatch queue; the releases/acquires phase barriers do the rest.
+    mutation a tenant then sends is applied after the tick in its
+    worker; the releases/acquires phase barriers do the rest.
     Within a phase, direct ops on distinct (tenant, resource) keys
     interleave arbitrarily — exactly the interleaving freedom the routed
     drive admits, and the one the broker's outcome is invariant under.
@@ -557,7 +552,6 @@ def serve_once(
             trace.schedule,
             num_resources=trace.num_resources,
             num_shards=instance.num_shards,
-            session_window=instance.session_window,
             metrics=metrics,
             trace=trace_sink,
             history=history,
@@ -665,8 +659,8 @@ def replay_applied(
     serialized event log replays through a fresh broker; the per-shard
     runs merge exactly like PR 2's shard merges.  A server's live totals
     must equal this replay no matter how its tenants interleaved — the
-    recorded (clock-ratcheted) traces *are* the serialization the
-    dispatch queues enforced.
+    recorded (clock-ratcheted) traces *are* the read order each shard
+    applied.
     """
     shards = trace_payload.get("shards")
     if not shards:

@@ -61,8 +61,9 @@ unchanged.
 
 Error *kinds* partition who misbehaved: ``protocol`` (malformed frame or
 request), ``model`` (the broker rejected the operation), ``draining``
-(acquire after drain), ``backpressure`` (tenant exceeded its in-flight
-window), ``unavailable`` (trace requested without recording).
+(acquire after drain), ``backpressure`` (a cluster router's per-worker
+in-flight bound is full), ``unavailable`` (trace requested without
+recording, server stopped, or a WAL commit failed).
 
 Everything here is transport-agnostic pure bytes plus thin asyncio and
 blocking-socket adapters, so the async server, the async client, and the
@@ -99,6 +100,13 @@ _LENGTH_MASK = BIN_FLAG - 1
 #: Must stay below :data:`BIN_FLAG` so the codec bit is always free.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: Ceiling on one *request* frame's payload, the bound a server's
+#: decoder enforces on its peers.  Every request verb fits in well under
+#: 1 KiB, so a header announcing more is refused before any of its body
+#: is buffered: a peer cannot make the server hold more than this (plus
+#: one header) per connection.
+MAX_REQUEST_BYTES = 64 * 1024
+
 #: Wire codecs a peer may emit; every receiver decodes both.
 CODEC_JSON = "json"
 CODEC_BIN = "bin"
@@ -132,7 +140,7 @@ OPS: tuple[str, ...] = (
     "shutdown",
 )
 
-#: Ops that mutate broker state and flow through a shard dispatch queue.
+#: Ops that mutate broker state (a tick mutates every shard).
 MUTATION_OPS = frozenset({"acquire", "renew", "release", "tick"})
 
 ERROR_KINDS: tuple[str, ...] = (
@@ -481,7 +489,9 @@ def decode_body(body: bytes) -> dict:
     """Decode one JSON frame body; the payload must be a JSON object."""
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integers past the
+        # interpreter's digit limit; RecursionError, nesting too deep.
         raise ProtocolError(f"undecodable frame body: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError(
@@ -490,12 +500,14 @@ def decode_body(body: bytes) -> dict:
     return payload
 
 
-def _split_header(word: int) -> tuple[int, bool]:
+def _split_header(
+    word: int, limit: int = MAX_FRAME_BYTES
+) -> tuple[int, bool]:
     """Header word -> (payload length, binary-codec flag), bounds-checked."""
     length = word & _LENGTH_MASK
-    if length > MAX_FRAME_BYTES:
+    if length > limit:
         raise ProtocolError(
-            f"frame length {length} exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
+            f"frame length {length} exceeds the {limit}-byte limit"
         )
     return length, bool(word & BIN_FLAG)
 
@@ -508,28 +520,47 @@ class FrameDecoder:
     """Incremental frame reassembly for byte streams of any chunking.
 
     Feed it whatever the transport produced; it returns every complete
-    frame payload and buffers the remainder.  The sync client reads
-    sockets through one of these, and the tests use it to prove frames
-    survive arbitrary fragmentation.
+    frame payload and buffers the remainder.  ``max_frame`` caps one
+    frame's payload: a header announcing more raises at once, so the
+    buffer never holds more than one header plus ``max_frame`` bytes
+    between feeds.  The server reads its peers through one of these
+    (capped at :data:`MAX_REQUEST_BYTES`), and the tests use it to prove
+    frames survive arbitrary fragmentation.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, max_frame: int = MAX_FRAME_BYTES) -> None:
         self._buffer = bytearray()
+        self._limit = max_frame
 
     def feed(self, data: bytes) -> list[dict]:
-        self._buffer.extend(data)
+        """Every frame ``data`` completes, in stream order.
+
+        Raises :class:`ProtocolError` at the first malformed frame; the
+        frames decoded before it in this call ride on the exception as
+        ``frames``, and the decoder drops its buffer (the stream cannot
+        be resynchronised past a bad frame).
+        """
+        buffer = self._buffer
+        buffer += data
         frames: list[dict] = []
-        while True:
-            if len(self._buffer) < HEADER.size:
-                return frames
-            (word,) = HEADER.unpack_from(self._buffer)
-            length, binary = _split_header(word)
-            end = HEADER.size + length
-            if len(self._buffer) < end:
-                return frames
-            body = bytes(self._buffer[HEADER.size:end])
-            del self._buffer[:end]
-            frames.append(_decode(body, binary))
+        offset = 0
+        size = len(buffer)
+        try:
+            while size - offset >= HEADER.size:
+                (word,) = HEADER.unpack_from(buffer, offset)
+                length, binary = _split_header(word, self._limit)
+                end = offset + HEADER.size + length
+                if end > size:
+                    break
+                body = bytes(buffer[offset + HEADER.size:end])
+                offset = end
+                frames.append(_decode(body, binary))
+        except ProtocolError as exc:
+            buffer.clear()
+            exc.frames = frames
+            raise
+        del buffer[:offset]
+        return frames
 
     @property
     def pending_bytes(self) -> int:

@@ -7,22 +7,39 @@ unix-socket front end that multiplexes any number of concurrent tenants.
 
 **Ownership and threading contract.**  A broker is single-owner state:
 nothing in it is locked, and its clock must advance monotonically.  The
-server honors that by partitioning the resource space into the same
-contiguous shard ranges PR 2's intra-scenario sharding uses
-(:func:`shard_ranges`) and giving each shard its *own* broker plus its
-own ``asyncio.Queue`` and exactly one worker task.  Every mutation
-(acquire / renew / release / tick) is routed to its resource's shard
-queue and applied by that shard's worker alone — connection handlers
-never touch a broker directly, and neither does anything else.  Reads
-(``stats`` / ``report`` / ``trace``) travel through the same queues, so
-they act as barriers: a read observes every mutation enqueued before it.
-One event loop owns the whole server; :class:`ServerThread` wraps that
-loop in a daemon thread for synchronous callers (the sync client, CLI
-tests), which talk to it only over sockets.
+server partitions the resource space into the same contiguous shard
+ranges intra-scenario sharding uses (:func:`shard_ranges`), one broker
+per shard, and the server's one event loop is every broker's only,
+in-order owner.  Each connection runs one reader loop: it reads the
+bytes available, decodes every complete frame in them
+(:class:`~repro.serve.protocol.FrameDecoder`), and applies each frame in
+read order on the spot — a mutation on its resource's shard broker, a
+tick on every shard, and ``stats`` / ``report`` / ``trace`` /
+``leases`` / ``metrics`` as plain reads of the brokers.  There are no
+queues: a frame observes every frame read before it on its connection,
+and every frame another connection has been answered for.  Per-resource
+state is independent, so that read order is the only order a shard
+needs.  The loop yields every :data:`YIELD_EVERY` frames, so a long
+pipelined burst on one connection cannot hold the loop against admin
+reads and other tenants.  One event loop
+owns the whole server; :class:`ServerThread` wraps that loop in a
+daemon thread for synchronous callers (the sync client, CLI tests),
+which talk to it only over sockets.
+
+**Group commit.**  A read chunk's replies leave together.  After its
+last frame the loop commits the shard WALs
+(:meth:`~repro.durable.wal.ShardWal.commit` — under ``fsync="always"``
+one fsync per shard the chunk wrote to), then writes every reply with
+one ``write`` and one ``drain`` before it reads again.  No reply leaves
+the process before the commit that covers its op ("no ack before
+durable"), and a shard whose commit fails answers its ops in that chunk
+with ``unavailable`` error frames instead of ``ok``.  The drain is also
+the connection's flow control: a peer that stops reading replies stops
+being read.
 
 **Clock ratcheting.**  Tenants are independent closed loops, so their
 simulated days drift: a request can arrive carrying a ``time`` older
-than what its shard broker has already seen.  The worker ratchets such
+than what its shard broker has already seen.  The server ratchets such
 times up to the broker clock (``now = max(time, clock)``) — semantically
 "this request reaches the server *now*; its day is at least today" —
 and, when recording, logs the *applied* event, so a replay of the
@@ -31,26 +48,25 @@ exactly (the serialized-trace equivalence the tests pin down).
 
 **Observability.**  A server optionally carries a
 :class:`~repro.obs.metrics.MetricsRegistry` and a
-:class:`~repro.obs.trace.TraceSink`.  With metrics on, the dispatch loop
-samples per-op latency (enqueue to reply, the registry's injectable
-monotonic clock) into histograms keyed by op kind, the frame adapters
-count bytes in/out, and the session registry counts backpressure
-refusals and idle expiries.  The ``metrics`` protocol verb is a
-*scrape*: it rides the ``stats`` barrier broadcast, folds the per-shard
-broker counters and gauges into a fresh registry
+:class:`~repro.obs.trace.TraceSink`.  With metrics on, the reader loop
+samples per-op latency (chunk read to reply, stamped after the chunk's
+commit so it includes the fsync wait) into histograms keyed by op kind,
+and counts bytes in/out and replies it could not write.  The
+``metrics`` protocol verb is a *scrape*: it reads every shard's
+``stats``, folds the broker counters and gauges into a fresh registry
 (:mod:`repro.obs.export`), and appends the live registry's rendering —
 so broker state costs nothing on the hot path and the exposition is
-valid Prometheus text either way.  With tracing on, the dispatch loop
-also emits one JSONL span per op.  Neither touches broker state or any
-served payload, so aggregate reports stay byte-identical to inline
-replay with instrumentation on or off (CI-gated).
+valid Prometheus text either way.  With tracing on, the loop also emits
+one JSONL span per op.  Neither touches broker state or any served
+payload, so aggregate reports stay byte-identical to inline replay with
+instrumentation on or off (CI-gated).
 
 **Drain and shutdown.**  ``drain`` moves the server to a mode where new
 acquires are refused with a ``draining`` error frame while renews and
 releases — completing the lifecycle of grants already held — are still
-served, including every request already sitting in a dispatch queue.
-``shutdown`` stops accepting connections, lets the queues empty, stops
-the workers, and wakes :meth:`LeaseServer.run_until_stopped`.
+served.  ``shutdown`` closes the listeners and every connection,
+folds each WAL into a final snapshot, and wakes
+:meth:`LeaseServer.run_until_stopped`.
 """
 
 from __future__ import annotations
@@ -85,24 +101,39 @@ from ..obs.tracetree import (
 )
 from .protocol import (
     CODEC_JSON,
+    MAX_REQUEST_BYTES,
     MUTATION_OPS,
     OPS,
     PROTOCOL_VERSION,
+    FrameDecoder,
     ProtocolError,
     ServeError,
+    encode_frame,
     error,
     negotiate_codec,
     ok,
     parse_trace,
-    read_frame,
-    write_frame,
 )
 from .session import SessionRegistry
 
 #: Server lifecycle states, in order.
 STATES = ("serving", "draining", "stopped")
 
-_STOP = object()  # queue sentinel: worker exits after draining ahead of it
+#: Bytes asked of the transport per read: one read is one chunk, one
+#: commit and one write.
+READ_BYTES = 64 * 1024
+
+#: Frames applied between two yields to the event loop.  A chunk can
+#: hold hundreds of pipelined frames; yielding every few bounds how long
+#: one connection holds the loop, so admin reads and other tenants wait
+#: behind at most this many frames, not a whole burst.
+YIELD_EVERY = 8
+
+#: Ops applied on every shard: sampled once per shard, one dispatch
+#: span for each shard the op ran on.
+_EVERY_SHARD_OPS = frozenset(
+    {"tick", "stats", "report", "trace", "leases", "metrics"}
+)
 
 
 # ----------------------------------------------------------------------
@@ -160,12 +191,9 @@ def shard_ranges(num_resources: int, num_shards: int) -> tuple[tuple[int, int], 
 
 
 class _Shard:
-    """One shard: its broker, dispatch queue, worker, and applied log."""
+    """One shard: its broker, WAL, and applied log."""
 
-    __slots__ = (
-        "index", "lo", "hi", "broker", "queue", "applied", "task",
-        "wal", "applied_keys",
-    )
+    __slots__ = ("index", "lo", "hi", "broker", "applied", "wal", "applied_keys")
 
     def __init__(
         self, index: int, lo: int, hi: int, broker: LeaseBroker, record: bool
@@ -174,9 +202,7 @@ class _Shard:
         self.lo = lo
         self.hi = hi
         self.broker = broker
-        self.queue: asyncio.Queue = asyncio.Queue()
         self.applied: list[Event] | None = [] if record else None
-        self.task: asyncio.Task | None = None
         #: Per-shard WAL, None when the server runs without durability.
         self.wal: ShardWal | None = None
         #: Applied-event identity keys for retry dedup (WAL + record
@@ -197,6 +223,21 @@ def _applied_key(
         return ("tick", None, None, now)
     kind = "acquire" if op in ("acquire", "renew") else "release"
     return (kind, tenant, resource, now)
+
+
+def _log_applied(
+    shard: _Shard, kind: str, now: int, tenant: str | None,
+    resource: int | None,
+) -> None:
+    """Append one applied event to a recording shard's log."""
+    if shard.applied is not None:
+        shard.applied.append(
+            Tick(time=now)
+            if kind == "tick"
+            else (Acquire if kind == "acquire" else Release)(
+                time=now, tenant=tenant, resource=resource
+            )
+        )
 
 
 def _grant_payload(grant) -> dict:
@@ -232,13 +273,12 @@ class LeaseServer:
     Args:
         schedule: lease types backing every shard broker.
         num_resources: size of the resource id space ``[0, num_resources)``.
-        num_shards: contiguous resource shards (one broker + one worker
-            each); must not exceed ``num_resources``.
+        num_shards: contiguous resource shards (one broker each); must
+            not exceed ``num_resources``.
         policy_factory: per-resource policy override, passed through to
             each shard's :class:`~repro.engine.broker.LeaseBroker`.
         record: keep a per-shard log of *applied* events (clock-ratcheted
             times) for the ``trace`` op and serialized-replay checks.
-        session_window: per-tenant in-flight request bound.
         idle_timeout: seconds before an idle tenant session is reaped.
         sweep_interval: seconds between reaper sweeps.
         metrics: live instrumentation registry; ``None`` (the default)
@@ -248,12 +288,15 @@ class LeaseServer:
         trace: per-op JSONL span sink; ``None`` disables tracing.
         wal_dir: root directory for per-shard write-ahead logs
             (``<wal_dir>/shard-<i>/``).  When set, every applied
-            mutation is logged before its reply and, on startup, each
-            shard recovers snapshot + WAL into a byte-identical broker
-            before the listeners open.  ``None`` disables durability.
-        fsync: WAL durability policy — ``off`` / ``batch`` (fsync at
-            dispatch-queue drain) / ``always`` (fsync per append; the
-            only mode under which an acked op survives ``kill -9``).
+            mutation is logged and committed before its reply and, on
+            startup, each shard recovers snapshot + WAL into a
+            byte-identical broker before the listeners open.  ``None``
+            disables durability.
+        fsync: WAL durability policy, applied at each chunk's commit —
+            ``off`` / ``batch`` (fsync at most every
+            ``BATCH_SYNC_INTERVAL`` seconds) / ``always`` (fsync every
+            shard the chunk wrote to; the only mode under which an acked
+            op survives a host crash).
         snapshot_every: applied events between automatic grant-table
             snapshots (each snapshot truncates the shard's WAL).
     """
@@ -265,7 +308,6 @@ class LeaseServer:
         num_shards: int = 1,
         policy_factory: PolicyFactory | None = None,
         record: bool = False,
-        session_window: int = 64,
         idle_timeout: float = 60.0,
         sweep_interval: float = 5.0,
         metrics: MetricsRegistry | None = None,
@@ -303,37 +345,37 @@ class LeaseServer:
             enabled=False
         )
         self.trace = trace if trace is not None else NULL_TRACE
-        #: Sample timestamps at all? One flag read per queue item.
+        #: Sample timestamps at all? One flag read per frame.
         self._sample = self.metrics.enabled or self.trace.enabled
         self._obs_clock = (
             self.metrics.clock if self.metrics.enabled else self.trace.clock
         )
         self._latency: dict[str, Histogram] = {}
-        # None (not a null counter) when disabled: the frame adapters
-        # skip the call entirely instead of invoking a no-op.
-        self._bytes_in = (
-            self.metrics.counter(
+        # None (not a null counter) when disabled: the hot path skips
+        # the call entirely instead of invoking a no-op.
+        if self.metrics.enabled:
+            self._bytes_in = self.metrics.counter(
                 "serve_bytes_in_total",
                 help="Request bytes received, frame headers included.",
             )
-            if self.metrics.enabled
-            else None
-        )
-        self._bytes_out = (
-            self.metrics.counter(
+            self._bytes_out = self.metrics.counter(
                 "serve_bytes_out_total",
                 help="Response bytes written, frame headers included.",
             )
-            if self.metrics.enabled
-            else None
-        )
+            self._replies_dropped = self.metrics.counter(
+                "serve_replies_dropped_total",
+                help="Reply frames lost because their connection failed "
+                "before they were written.",
+            )
+            self._dedup_hits = self.metrics.counter(
+                "serve_retry_dedup_total",
+                help="Retry-marked mutations answered from the applied log.",
+            )
+        else:
+            self._bytes_in = self._bytes_out = None
+            self._replies_dropped = self._dedup_hits = None
         self.sessions = SessionRegistry(
-            window=session_window,
             idle_timeout=idle_timeout,
-            refusal_counter=self.metrics.counter(
-                "serve_backpressure_refusals_total",
-                help="Requests refused because a tenant window was full.",
-            ),
             expiry_counter=self.metrics.counter(
                 "serve_session_expiries_total",
                 help="Idle tenant sessions reaped by the sweeper.",
@@ -349,14 +391,6 @@ class LeaseServer:
             raise ModelError("snapshot_every must be >= 1")
         self._snapshot_every = snapshot_every
         self._recovered = False
-        self._dedup_hits = (
-            self.metrics.counter(
-                "serve_retry_dedup_total",
-                help="Retry-marked mutations answered from the applied log.",
-            )
-            if self.metrics.enabled
-            else None
-        )
         self._sweep_interval = sweep_interval
         # History rides the live registry (disabled registry -> disabled
         # ring); the profiler is always mountable but costs nothing
@@ -369,6 +403,7 @@ class LeaseServer:
         )
         self._profile_lock = asyncio.Lock()
         self._history_task: asyncio.Task | None = None
+        self._started = False
         self._state = "serving"
         self._servers: list[asyncio.base_events.Server] = []
         self._writers: set[asyncio.StreamWriter] = set()
@@ -389,15 +424,12 @@ class LeaseServer:
     def num_shards(self) -> int:
         return len(self._shards)
 
-    def _ensure_workers(self) -> None:
-        if self._shards[0].task is not None:
+    def _start(self) -> None:
+        if self._started:
             return
+        self._started = True
         if self._wal_dir is not None and not self._recovered:
             self._recover()
-        for shard in self._shards:
-            shard.task = asyncio.create_task(
-                self._worker(shard), name=f"serve-shard-{shard.index}"
-            )
         self._reaper = asyncio.create_task(
             self._sweep_sessions(), name="serve-session-reaper"
         )
@@ -412,9 +444,9 @@ class LeaseServer:
     def _recover(self) -> None:
         """Rebuild every shard broker from its snapshot + WAL.
 
-        Runs synchronously before the first listener opens — a worker
-        never serves a request against un-recovered state.  Restoring a
-        snapshot and replaying the log's tail reproduces the
+        Runs synchronously before the first listener opens — the
+        server never serves a request against un-recovered state.
+        Restoring a snapshot and replaying the log's tail reproduces the
         pre-crash broker byte for byte (the :mod:`repro.durable`
         invariant the tests pin down); the applied-event log and the
         retry-dedup key set are rebuilt alongside so the ``trace`` op
@@ -444,34 +476,18 @@ class LeaseServer:
                     for payload in recovery.applied
                 )
             broker = shard.broker
-            applied = shard.applied
             for record in recovery.records:
-                op = record["op"]
-                when = record["time"]
-                if op == "acquire":
-                    broker._acquire(record["tenant"], record["resource"], when)
-                    if applied is not None:
-                        applied.append(
-                            Acquire(
-                                time=when,
-                                tenant=record["tenant"],
-                                resource=record["resource"],
-                            )
-                        )
-                elif op == "release":
-                    broker._release(record["tenant"], record["resource"], when)
-                    if applied is not None:
-                        applied.append(
-                            Release(
-                                time=when,
-                                tenant=record["tenant"],
-                                resource=record["resource"],
-                            )
-                        )
-                elif op == "tick":
+                kind, when = record["op"], record["time"]
+                tenant, resource = record.get("tenant"), record.get("resource")
+                if kind == "acquire":
+                    broker._acquire(tenant, resource, when)
+                elif kind == "release":
+                    broker._release(tenant, resource, when)
+                elif kind == "tick":
                     broker.tick(when)
-                    if applied is not None:
-                        applied.append(Tick(time=when))
+                else:
+                    continue
+                _log_applied(shard, kind, when, tenant, resource)
             shard.wal = ShardWal(
                 directory,
                 fsync=self._fsync,
@@ -479,6 +495,7 @@ class LeaseServer:
                 shard=shard.index,
             )
             shard.wal.seq = recovery.last_seq
+            applied = shard.applied
             if applied is not None:
                 shard.applied_keys = {
                     _applied_key(
@@ -503,7 +520,7 @@ class LeaseServer:
 
     async def start_unix(self, path: str) -> None:
         """Start serving on a unix socket at ``path``."""
-        self._ensure_workers()
+        self._start()
         server = await asyncio.start_unix_server(
             self._handle_connection, path=path
         )
@@ -521,7 +538,7 @@ class LeaseServer:
         share a port (the cluster router uses this for its control
         plane; a lone lease server rarely wants it).
         """
-        self._ensure_workers()
+        self._start()
         server = await asyncio.start_server(
             self._handle_connection, host=host, port=port,
             reuse_port=reuse_port or None,
@@ -542,46 +559,35 @@ class LeaseServer:
         return self._state
 
     async def shutdown(self) -> None:
-        """Graceful stop: close listeners, empty queues, stop workers."""
+        """Graceful stop: close listeners and connections, snapshot WALs.
+
+        Every reply written so far was committed first, so nothing is
+        left to wait for; a chunk still being applied refuses its
+        remaining mutations ``unavailable`` and its replies are dropped
+        with the connection.
+        """
         if self._state == "stopped":
             await self._stopped.wait()
             return
         self._state = "stopped"
         for server in self._servers:
             server.close()
+        # Close the connections before waiting on the listeners: from
+        # Python 3.12.1 on, Server.wait_closed() also waits for every
+        # connection it accepted.
+        for writer in tuple(self._writers):
+            writer.close()
         for server in self._servers:
             try:
                 await server.wait_closed()
             except Exception:
                 pass
-        if self._shards[0].task is not None:
-            for shard in self._shards:
-                await shard.queue.join()  # every enqueued request answered
-                shard.queue.put_nowait(_STOP)
-            await asyncio.gather(
-                *(shard.task for shard in self._shards),
-                return_exceptions=True,
-            )
-            # A mutation that passed its state check just before the flip
-            # can slip in behind _STOP; fail it rather than strand its
-            # future (and the connection handler awaiting it) forever.
-            for shard in self._shards:
-                while not shard.queue.empty():
-                    item = shard.queue.get_nowait()
-                    shard.queue.task_done()
-                    if item is _STOP:
-                        continue
-                    future = item[-1]
-                    if not future.done():
-                        future.set_exception(
-                            ServeError("unavailable", "server is stopped")
-                        )
         for shard in self._shards:
             if shard.wal is not None:
                 # Graceful stop: fold the tail into a final snapshot so
                 # the next start recovers without replaying the log.
                 if shard.wal.appended_since_snapshot:
-                    self._maybe_snapshot_now(shard)
+                    self._snapshot(shard)
                 shard.wal.close()
         for periodic in (self._reaper, self._history_task):
             if periodic is not None:
@@ -591,8 +597,6 @@ class LeaseServer:
                 except asyncio.CancelledError:
                     pass
         self.profiler.stop()
-        for writer in tuple(self._writers):
-            writer.close()
         # Let every connection handler notice its closed transport and
         # unwind before the loop is torn down under it.
         lingering = [
@@ -610,90 +614,9 @@ class LeaseServer:
         await self._stopped.wait()
 
     # ------------------------------------------------------------------
-    # Shard workers: the only code that touches a broker
+    # Applying requests: the only code that touches a broker
     # ------------------------------------------------------------------
-    def _latency_hist(self, op: str) -> Histogram:
-        hist = self._latency.get(op)
-        if hist is None:
-            hist = self._latency[op] = self.metrics.histogram(
-                "serve_op_latency_seconds",
-                help="Per-op latency from enqueue to reply, by op kind.",
-                op=op,
-            )
-        return hist
-
-    async def _worker(self, shard: _Shard) -> None:
-        queue = shard.queue
-        broker = shard.broker
-        while True:
-            item = await queue.get()
-            if item is _STOP:
-                queue.task_done()
-                return
-            (op, tenant, resource, when, req_id, retry, t_enq, trace_ctx,
-             future) = item
-            t_disp = self._obs_clock() if self._sample else 0.0
-            try:
-                result = self._apply_to_shard(
-                    shard, broker, op, tenant, resource, when, retry
-                )
-            except ServeError as exc:
-                if not future.cancelled():
-                    future.set_exception(exc)
-            except ModelError as exc:
-                if not future.cancelled():
-                    future.set_exception(ServeError("model", str(exc)))
-            except Exception as exc:  # pragma: no cover - defensive
-                if not future.cancelled():
-                    future.set_exception(
-                        ServeError("model", f"{type(exc).__name__}: {exc}")
-                    )
-            else:
-                if not future.cancelled():
-                    future.set_result(result)
-            finally:
-                if self._sample:
-                    t_reply = self._obs_clock()
-                    self._latency_hist(op).observe(t_reply - t_enq)
-                    if trace_ctx is None:
-                        self.trace.span(
-                            op=op,
-                            tenant=tenant,
-                            resource=resource,
-                            request_id=req_id,
-                            t_enq=t_enq,
-                            t_disp=t_disp,
-                            t_reply=t_reply,
-                        )
-                    else:
-                        # The dispatch span inherits the envelope's trace
-                        # context: same trace id, parented to the hop
-                        # that forwarded the frame here.
-                        self.trace.span(
-                            op=op,
-                            tenant=tenant,
-                            resource=resource,
-                            request_id=req_id,
-                            t_enq=t_enq,
-                            t_disp=t_disp,
-                            t_reply=t_reply,
-                            trace=trace_ctx[0],
-                            span_id=new_id(),
-                            parent=trace_ctx[1],
-                            kind="dispatch",
-                        )
-                queue.task_done()
-                if shard.wal is not None and queue.qsize() == 0:
-                    # Burst boundary: the queue drained, so under
-                    # fsync="batch" everything applied this burst goes
-                    # durable in one fsync.
-                    shard.wal.flush()
-
-    def _maybe_snapshot(self, shard: _Shard) -> None:
-        if shard.wal.appended_since_snapshot >= self._snapshot_every:
-            self._maybe_snapshot_now(shard)
-
-    def _maybe_snapshot_now(self, shard: _Shard) -> None:
+    def _snapshot(self, shard: _Shard) -> None:
         applied = (
             None
             if shard.applied is None
@@ -728,85 +651,112 @@ class LeaseServer:
         grant = _grant_payload(grants[0]) if grants else None
         return {"grant": grant, "applied_time": now}
 
-    def _apply_to_shard(
+    def _shard_of(self, resource: int) -> _Shard:
+        # Ranges are contiguous and exhaustive over [0, num_resources),
+        # so the owning shard is the last one starting at or before the
+        # resource — one bisect on the range starts.
+        where = bisect.bisect_right(self._shard_los, resource) - 1
+        return self._shards[where]
+
+    def _mutate(
         self,
-        shard: _Shard,
-        broker: LeaseBroker,
         op: str,
         tenant: str | None,
         resource: int | None,
-        when: int | None,
+        when: int,
         retry: bool = False,
+    ) -> tuple[dict, int]:
+        """Apply one validated mutation: ``(result, shard index)``.
+
+        A tick applies to every shard and reports shard index ``-1``.
+        """
+        if self._state == "stopped":
+            raise ServeError("unavailable", "server is stopped")
+        if op == "tick":
+            applied = max(
+                self._apply_to_shard(shard, op, None, None, when, retry)[
+                    "applied_time"
+                ]
+                for shard in self._shards
+            )
+            return {"applied_time": applied}, -1
+        if op == "acquire" and self._state != "serving":
+            raise ServeError(
+                "draining", "server is draining; new acquires are refused"
+            )
+        self.sessions.served(tenant)
+        shard = self._shard_of(resource)
+        return (
+            self._apply_to_shard(shard, op, tenant, resource, when, retry),
+            shard.index,
+        )
+
+    def _apply_to_shard(
+        self,
+        shard: _Shard,
+        op: str,
+        tenant: str | None,
+        resource: int | None,
+        when: int,
+        retry: bool,
     ) -> dict:
-        if op in MUTATION_OPS:
-            # Ratchet stale times to the shard clock: the request reaches
-            # this broker *now*, whatever day its tenant believes it is.
-            now = when if when >= broker.clock else broker.clock
-            keys = shard.applied_keys
-            key = None
-            if keys is not None:
-                # Exactly-once under crash-retry: a retry-marked frame
-                # whose applied identity is already in the log was
-                # applied before the sender lost the reply — answer it
-                # without touching the broker.  Unmarked traffic never
-                # consults the set, so legitimate repeats (same-day
-                # re-acquires) behave exactly as without a WAL.
-                key = _applied_key(op, tenant, resource, now)
-                if retry and key in keys:
-                    return self._dedup_reply(broker, op, tenant, resource, now)
-            wal = shard.wal
+        broker = shard.broker
+        # Ratchet stale times to the shard clock: the request reaches
+        # this broker *now*, whatever day its tenant believes it is.
+        now = when if when >= broker.clock else broker.clock
+        keys = shard.applied_keys
+        if keys is not None:
+            # Exactly-once under crash-retry: a retry-marked frame whose
+            # applied identity is already in the log was applied before
+            # the sender lost the reply — answer it without touching the
+            # broker.  Unmarked traffic never consults the set, so
+            # legitimate repeats (same-day re-acquires) behave exactly
+            # as without a WAL.
+            key = _applied_key(op, tenant, resource, now)
+            if retry and key in keys:
+                return self._dedup_reply(broker, op, tenant, resource, now)
+        if op == "tick":
+            broker.tick(now)
+            result = {"applied_time": now}
+        else:
             if op == "acquire":
                 grant = broker.acquire(tenant, resource, now)
-                if keys is not None:
-                    keys.add(key)
-                if shard.applied is not None:
-                    shard.applied.append(
-                        Acquire(time=now, tenant=tenant, resource=resource)
-                    )
-                if wal is not None:
-                    wal.append("acquire", now, tenant=tenant, resource=resource)
-                    self._maybe_snapshot(shard)
-                return {"grant": _grant_payload(grant), "applied_time": now}
-            if op == "renew":
+            elif op == "renew":
                 grant = broker.renew(tenant, resource, now)
-                if keys is not None:
-                    keys.add(key)
-                if shard.applied is not None:
-                    shard.applied.append(
-                        Acquire(time=now, tenant=tenant, resource=resource)
-                    )
-                if wal is not None:
-                    # Renewals enter the WAL as acquires, mirroring the
-                    # applied-trace stream: replay reproduces the same
-                    # acquire-or-renew classification from broker state.
-                    wal.append("acquire", now, tenant=tenant, resource=resource)
-                    self._maybe_snapshot(shard)
-                return {"grant": _grant_payload(grant), "applied_time": now}
-            if op == "release":
+            else:
                 grant = broker.release(tenant, resource, now)
-                if keys is not None:
-                    keys.add(key)
-                if shard.applied is not None:
-                    shard.applied.append(
-                        Release(time=now, tenant=tenant, resource=resource)
-                    )
-                if wal is not None:
-                    wal.append("release", now, tenant=tenant, resource=resource)
-                    self._maybe_snapshot(shard)
-                return {
-                    "grant": None if grant is None else _grant_payload(grant),
-                    "applied_time": now,
-                }
-            # op == "tick"
-            broker.tick(now)
-            if keys is not None:
-                keys.add(key)
-            if shard.applied is not None:
-                shard.applied.append(Tick(time=now))
-            if wal is not None:
-                wal.append("tick", now)
-                self._maybe_snapshot(shard)
-            return {"applied_time": now}
+            result = {
+                "grant": None if grant is None else _grant_payload(grant),
+                "applied_time": now,
+            }
+        if keys is not None:
+            keys.add(key)
+        # Renewals enter the applied trace and the WAL as acquires:
+        # replay reproduces the same acquire-or-renew classification
+        # from broker state.
+        kind = "acquire" if op == "renew" else op
+        _log_applied(shard, kind, now, tenant, resource)
+        wal = shard.wal
+        if wal is not None:
+            wal.append(kind, now, tenant=tenant, resource=resource)
+            if wal.appended_since_snapshot >= self._snapshot_every:
+                self._snapshot(shard)
+        return result
+
+    def _commit(self) -> dict[int, str]:
+        """Commit every shard WAL: ``{shard index: reason}`` for failures."""
+        failed = {}
+        for shard in self._shards:
+            if shard.wal is None:
+                continue
+            try:
+                shard.wal.commit()
+            except OSError as exc:
+                failed[shard.index] = f"WAL commit failed: {exc}"
+        return failed
+
+    def _read_shard(self, shard: _Shard, op: str) -> dict:
+        broker = shard.broker
         if op == "stats":
             return {
                 "index": shard.index,
@@ -818,9 +768,6 @@ class LeaseServer:
                 "stats_full": broker.stats.full_dict(),
                 "grant_table": broker.num_grants,
                 "expiry_heap": broker.heap_size,
-                # Queue length observed by the barrier itself: the number
-                # of requests that arrived behind this stats op.
-                "queue_depth": shard.queue.qsize(),
             }
         if op == "report":
             leases = broker.leases
@@ -854,23 +801,24 @@ class LeaseServer:
                 "hi": shard.hi,
                 "events": [event_to_payload(e) for e in shard.applied],
             }
-        if op == "leases":
-            # The live lease book, observed through the dispatch queue so
-            # it is a barrier like stats: it sees every mutation enqueued
-            # before it.  Lease ids are "<shard>:<grant_id>" — stable
-            # handles for the admin plane's force-release.
-            return {
-                "index": shard.index,
-                "clock": broker.clock,
-                "leases": [
-                    dict(
-                        _grant_payload(grant),
-                        lease_id=f"{shard.index}:{grant.grant_id}",
-                    )
-                    for grant in broker.active_leases()
-                ],
-            }
-        raise ServeError("protocol", f"unhandled shard op {op!r}")
+        # op == "leases": the live lease book.  Lease ids are
+        # "<shard>:<grant_id>" — stable handles for the admin plane's
+        # force-release.
+        return {
+            "index": shard.index,
+            "clock": broker.clock,
+            "leases": [
+                dict(
+                    _grant_payload(grant),
+                    lease_id=f"{shard.index}:{grant.grant_id}",
+                )
+                for grant in broker.active_leases()
+            ],
+        }
+
+    def _read(self, op: str) -> list[dict]:
+        """Every shard's answer to one read op, in shard order."""
+        return [self._read_shard(shard, op) for shard in self._shards]
 
     async def _sweep_sessions(self) -> None:
         while True:
@@ -886,83 +834,8 @@ class LeaseServer:
             self.history.sample()
 
     # ------------------------------------------------------------------
-    # Request dispatch
+    # Control ops
     # ------------------------------------------------------------------
-    def _shard_of(self, resource: int) -> _Shard:
-        # Ranges are contiguous and exhaustive over [0, num_resources),
-        # so the owning shard is the last one starting at or before the
-        # resource — one bisect on the range starts.
-        where = bisect.bisect_right(self._shard_los, resource) - 1
-        return self._shards[where]
-
-    async def _enqueue(
-        self,
-        shard: _Shard,
-        op: str,
-        tenant: str | None,
-        resource: int | None,
-        when: int | None,
-        req_id=None,
-        retry: bool = False,
-        trace: tuple[str, str] | None = None,
-    ) -> dict:
-        future = asyncio.get_running_loop().create_future()
-        t_enq = self._obs_clock() if self._sample else 0.0
-        shard.queue.put_nowait(
-            (op, tenant, resource, when, req_id, retry, t_enq, trace, future)
-        )
-        return await future
-
-    async def _broadcast(
-        self, op: str, when: int | None = None
-    ) -> list[dict]:
-        return list(
-            await asyncio.gather(
-                *(
-                    self._enqueue(shard, op, None, None, when)
-                    for shard in self._shards
-                )
-            )
-        )
-
-    async def _apply(self, op: str, payload: dict) -> dict:
-        when = field_time(payload)
-        retry = payload.get("retry") is True
-        trace = trace_context(payload)
-        if self._state == "stopped":
-            raise ServeError("unavailable", "server is stopped")
-        if op == "tick":
-            applied = await asyncio.gather(
-                *(
-                    self._enqueue(
-                        shard, "tick", None, None, when, retry=retry,
-                        trace=trace,
-                    )
-                    for shard in self._shards
-                )
-            )
-            return {"applied_time": max(r["applied_time"] for r in applied)}
-        tenant = field_tenant(payload)
-        resource = field_resource(payload, self.num_resources)
-        if op == "acquire" and self._state != "serving":
-            raise ServeError(
-                "draining", "server is draining; new acquires are refused"
-            )
-        session = self.sessions.try_acquire(tenant)
-        if session is None:
-            raise ServeError(
-                "backpressure",
-                f"tenant {tenant!r} exceeded its in-flight window "
-                f"({self.sessions.window})",
-            )
-        try:
-            return await self._enqueue(
-                self._shard_of(resource), op, tenant, resource, when,
-                payload.get("id"), retry, trace,
-            )
-        finally:
-            self.sessions.release(session)
-
     def _hello(self) -> dict:
         return {
             "server": "repro.serve",
@@ -982,9 +855,9 @@ class LeaseServer:
             },
         }
 
-    async def _control(self, op: str, payload: dict | None = None) -> dict:
-        # `hello` never reaches here: the connection loop intercepts it
-        # (codec negotiation needs the payload for codec negotiation).
+    def _control(self, op: str, payload: dict) -> dict:
+        # `hello` and `shutdown` never reach here: the reader loop
+        # handles them (codec negotiation, hang-up).
         if op == "route":
             # In the protocol for the cluster router's handshake; a
             # lone server has no fleet to hand out.
@@ -997,18 +870,14 @@ class LeaseServer:
             return {
                 "state": self._state,
                 "sessions": self.sessions.snapshot(),
-                "shards": await self._broadcast("stats"),
+                "shards": self._read("stats"),
             }
-        if op == "report":
-            return {"shards": await self._broadcast("report")}
-        if op == "trace":
-            return {"shards": await self._broadcast("trace")}
+        if op in ("report", "trace", "leases"):
+            return {"shards": self._read(op)}
         if op == "metrics":
-            return {"text": self.render_metrics(await self._broadcast("stats"))}
-        if op == "leases":
-            return {"shards": await self._broadcast("leases")}
+            return {"text": self.render_metrics(self._read("stats"))}
         if op == "spans":
-            return {"spans": self.spans((payload or {}).get("trace"))}
+            return {"spans": self.spans(payload.get("trace"))}
         if op == "drain":
             return {"state": self.drain()}
         if op == "undrain":
@@ -1016,13 +885,13 @@ class LeaseServer:
         raise ServeError("protocol", f"unknown op {op!r}")
 
     def render_metrics(self, shard_stats: list[dict]) -> str:
-        """The process's Prometheus text exposition, from a stats barrier.
+        """The process's Prometheus text exposition, from shard stats.
 
-        Scrape-time families (broker counters/gauges, session totals,
-        queue depths) are folded into a fresh registry from the
-        broadcast payloads; the live registry's families (latency
-        histograms, byte and refusal counters) are appended when metrics
-        are enabled.  The two renders use disjoint family names, so the
+        Scrape-time families (broker counters/gauges, session totals)
+        are folded into a fresh registry from every shard's ``stats``
+        payload; the live registry's families (latency histograms, byte
+        and dropped-reply counters) are appended when metrics are
+        enabled.  The two renders use disjoint family names, so the
         concatenation is itself a valid exposition.
         """
         registry = MetricsRegistry(clock=self.metrics.clock)
@@ -1049,15 +918,14 @@ class LeaseServer:
     # Admin backend — the surface repro.admin.AdminPlane mounts over HTTP
     # ------------------------------------------------------------------
     async def admin_metrics(self) -> str:
-        """The ``GET /metrics`` exposition (rides the stats barrier)."""
-        return self.render_metrics(await self._broadcast("stats"))
+        """The ``GET /metrics`` exposition (reads every shard's stats)."""
+        return self.render_metrics(self._read("stats"))
 
     def admin_health(self) -> dict:
         """Liveness: the process is up and can say what state it is in.
 
-        Carries the per-tenant session rows (in-flight, served,
-        rejected, idle seconds) so one curl answers both "is it up" and
-        "who is talking to it".
+        Carries the per-tenant session rows (served, idle seconds) so
+        one curl answers both "is it up" and "who is talking to it".
         """
         return {
             "state": self._state,
@@ -1068,19 +936,18 @@ class LeaseServer:
         }
 
     def admin_ready(self) -> tuple[bool, dict]:
-        """Readiness: recovery complete and every shard accepting work.
+        """Readiness: recovery complete and the server accepting work.
 
         Readiness is stricter than liveness: a WAL'd server that has not
         finished recovery, or one that is draining or stopped, is alive
         but not ready — a load balancer should not send it acquires.
         """
-        workers_up = self._shards[0].task is not None
         recovered = self._wal_dir is None or self._recovered
-        ready = workers_up and recovered and self._state == "serving"
+        ready = self._started and recovered and self._state == "serving"
         return ready, {
             "ready": ready,
             "state": self._state,
-            "workers_up": workers_up,
+            "started": self._started,
             "recovered": recovered,
         }
 
@@ -1089,14 +956,18 @@ class LeaseServer:
     ) -> list[dict]:
         """The live lease book, folded across shards, filtered, sorted.
 
-        Rides the ``leases`` dispatch-queue barrier, so the book reflects
-        every mutation enqueued before the call.  Sorted by (resource,
-        tenant, lease_id) — a stable order for pagination.
+        A plain read of every shard, so the book reflects every frame
+        applied before the call.  Sorted by (resource, tenant,
+        lease_id) — a stable order for pagination.
         """
-        shards = await self._broadcast("leases")
+        return self._lease_book(tenant, resource)
+
+    def _lease_book(
+        self, tenant: str | None = None, resource: int | None = None
+    ) -> list[dict]:
         book = [
             lease
-            for shard in shards
+            for shard in self._read("leases")
             for lease in shard["leases"]
             if (tenant is None or lease["tenant"] == tenant)
             and (resource is None or lease["resource"] == resource)
@@ -1104,25 +975,29 @@ class LeaseServer:
         book.sort(key=lambda l: (l["resource"], l["tenant"], l["lease_id"]))
         return book
 
-    async def admin_force_release(self, lease_id: str) -> dict | None:
+    def admin_force_release(self, lease_id: str) -> dict | None:
         """Durably force-release one lease by its ``<shard>:<grant_id>`` id.
 
-        The mutation is injected through the normal dispatch path — an
-        ordinary ``release`` frame with ``time=0`` (clock-ratcheted to
-        the owning shard's today) — so it rides the WAL, lands in the
-        applied trace as a replayable :class:`Release`, and carries the
-        same retry-dedup identity as any client release.  Returns the
-        reply payload, or ``None`` when no live lease has that id.
+        Applied like an ordinary ``release`` with ``time=0``
+        (clock-ratcheted to the owning shard's today) — so it rides the
+        WAL, lands in the applied trace as a replayable
+        :class:`Release`, and carries the same retry-dedup identity as
+        any client release — and committed before the answer is
+        returned.  Returns the reply payload, or ``None`` when no live
+        lease has that id.
         """
-        book = await self.admin_leases()
-        lease = next((l for l in book if l["lease_id"] == lease_id), None)
+        lease = next(
+            (l for l in self._lease_book() if l["lease_id"] == lease_id), None
+        )
         if lease is None:
             return None
-        result = await self._apply(
-            "release",
-            {"tenant": lease["tenant"], "resource": lease["resource"],
-             "time": 0},
+        result, index = self._mutate(
+            "release", lease["tenant"], lease["resource"], 0
         )
+        if self._wal_dir is not None:
+            reason = self._commit().get(index)
+            if reason is not None:
+                raise ServeError("unavailable", reason)
         return {"lease_id": lease_id, "released": dict(lease), **result}
 
     def admin_drain(self, worker: int) -> str | None:
@@ -1179,92 +1054,49 @@ class LeaseServer:
             return self.profiler.snapshot()
 
     # ------------------------------------------------------------------
-    # Connections
+    # Connections: one reader loop each
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
         self._writers.add(writer)
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
-        write_lock = asyncio.Lock()
-        inflight: set[asyncio.Task] = set()
-        # One mutable slot per connection: `hello` may upgrade the codec
-        # mid-stream, and every response written after the upgrade —
-        # including mutations already in flight — uses the new encoding
-        # (receivers decode both codecs, so the cutover point is free).
-        codec_ref = [CODEC_JSON]
+        decoder = FrameDecoder(MAX_REQUEST_BYTES)
+        # One mutable slot per connection: `hello` may switch the codec
+        # mid-chunk, and each reply is encoded with the codec in force
+        # when it was produced (receivers decode both codecs).
+        codec = [CODEC_JSON]
         try:
-            while True:
+            # A connection accepted just before shutdown closed the
+            # others must not keep the stopped server's listener open.
+            while self._state != "stopped":
                 try:
-                    payload = await read_frame(reader, self._bytes_in)
+                    data = await reader.read(READ_BYTES)
+                except (ConnectionError, OSError):
+                    break
+                if not data:
+                    break
+                if self._bytes_in is not None:
+                    self._bytes_in.inc(len(data))
+                try:
+                    frames = decoder.feed(data)
+                    fault = None
                 except ProtocolError as exc:
-                    # The byte stream is unparseable from here on: name
-                    # the violation, then hang up rather than resync.
-                    await self._respond(
-                        writer, write_lock,
-                        error(None, "protocol", str(exc)), codec_ref,
-                    )
-                    break
-                if payload is None:
-                    break
-                request_id = payload.get("id")
-                op = payload.get("op")
-                if op in MUTATION_OPS:
-                    # Pipelining: each mutation runs as its own task so a
-                    # connection can have many requests in the shard
-                    # queues at once; responses return in completion
-                    # order, matched by id.
-                    mutation = asyncio.create_task(
-                        self._serve_mutation(
-                            op, payload, request_id, writer, write_lock,
-                            codec_ref,
+                    # The byte stream is unparseable past this frame:
+                    # answer the frames before it, name the violation,
+                    # then hang up rather than resync.
+                    frames, fault = exc.frames, exc
+                out, done = await self._serve_chunk(frames, codec)
+                if fault is not None and not done:
+                    out.append(
+                        encode_frame(
+                            error(None, "protocol", str(fault)), codec[0]
                         )
                     )
-                    inflight.add(mutation)
-                    mutation.add_done_callback(inflight.discard)
-                    continue
-                if op == "hello":
-                    # Codec negotiation happens here, where the payload
-                    # is visible: an explicit `codec` field renegotiates
-                    # this connection (unknown values settle on JSON); a
-                    # hello *without* the field is a plain introspection
-                    # and leaves the current codec untouched.
-                    if "codec" in payload:
-                        codec_ref[0] = negotiate_codec(payload.get("codec"))
-                    result = self._hello()
-                    result["codec"] = codec_ref[0]
-                    await self._respond(
-                        writer, write_lock, ok(request_id, result), codec_ref
-                    )
-                    continue
-                if op == "shutdown":
-                    await self._respond(
-                        writer, write_lock,
-                        ok(request_id, {"state": "stopped"}), codec_ref,
-                    )
-                    self._shutdown_task = asyncio.create_task(self.shutdown())
+                    done = True
+                if not await self._write(writer, out) or done:
                     break
-                if op not in OPS:
-                    await self._respond(
-                        writer,
-                        write_lock,
-                        error(
-                            request_id,
-                            "protocol",
-                            f"unknown op {op!r}; known: {', '.join(OPS)}",
-                        ),
-                        codec_ref,
-                    )
-                    continue
-                try:
-                    result = await self._control(op, payload)
-                    frame = ok(request_id, result)
-                except ServeError as exc:
-                    frame = error(request_id, exc.kind, exc.message)
-                await self._respond(writer, write_lock, frame, codec_ref)
         finally:
-            if inflight:
-                await asyncio.gather(*inflight, return_exceptions=True)
             self._writers.discard(writer)
             if task is not None:
                 self._conn_tasks.discard(task)
@@ -1274,22 +1106,175 @@ class LeaseServer:
             except Exception:
                 pass
 
-    async def _serve_mutation(
-        self, op, payload, request_id, writer, write_lock, codec_ref
-    ) -> None:
-        try:
-            result = await self._apply(op, payload)
-            frame = ok(request_id, result)
-        except ServeError as exc:
-            frame = error(request_id, exc.kind, exc.message)
-        await self._respond(writer, write_lock, frame, codec_ref)
+    async def _serve_chunk(
+        self, frames: list[dict], codec: list[str]
+    ) -> tuple[list[bytes], bool]:
+        """Apply one chunk's frames in read order, then commit.
 
-    async def _respond(self, writer, write_lock, frame: dict, codec_ref) -> None:
-        async with write_lock:
-            try:
-                await write_frame(writer, frame, codec_ref[0], self._bytes_out)
-            except (ConnectionError, RuntimeError, OSError):
-                pass  # client went away; its response has nowhere to go
+        Returns the encoded replies, in request order, and whether the
+        connection should hang up after writing them (``shutdown``).
+        Every :data:`YIELD_EVERY` frames the loop serves other
+        connections; their chunks may apply and commit meanwhile, which
+        only ever makes this chunk's appends durable sooner.
+        """
+        out: list[bytes] = []
+        if not frames:
+            return out, False
+        sample = self._sample
+        clock = self._obs_clock
+        t_enq = clock() if sample else 0.0
+        wal = self._wal_dir is not None
+        # (reply position, shard index, request id, codec) of every ok
+        # mutation reply a failed commit must turn into an error.
+        held: list[tuple] = []
+        records: list[tuple] = []
+        done = False
+        for count, payload in enumerate(frames):
+            if count and count % YIELD_EVERY == 0:
+                await asyncio.sleep(0)
+            op = payload.get("op")
+            if type(op) is not str:
+                op = None  # unhashable or not a name: an unknown op
+            request_id = payload.get("id")
+            t_disp = clock() if sample else 0.0
+            tenant = resource = None
+            if op in MUTATION_OPS:
+                try:
+                    when = field_time(payload)
+                    if op != "tick":
+                        tenant = field_tenant(payload)
+                        resource = field_resource(payload, self.num_resources)
+                    result, index = self._mutate(
+                        op, tenant, resource, when,
+                        payload.get("retry") is True,
+                    )
+                except ServeError as exc:
+                    frame = error(request_id, exc.kind, exc.message)
+                except ModelError as exc:
+                    frame = error(request_id, "model", str(exc))
+                except Exception as exc:  # pragma: no cover - defensive
+                    frame = error(
+                        request_id, "model", f"{type(exc).__name__}: {exc}"
+                    )
+                else:
+                    frame = ok(request_id, result)
+                    if wal:
+                        held.append((len(out), index, request_id, codec[0]))
+            elif op == "hello":
+                # An explicit `codec` field renegotiates this connection
+                # (unknown values settle on JSON); a hello *without* it
+                # is plain introspection and leaves the codec untouched.
+                if "codec" in payload:
+                    codec[0] = negotiate_codec(payload.get("codec"))
+                result = self._hello()
+                result["codec"] = codec[0]
+                frame = ok(request_id, result)
+            elif op == "shutdown":
+                frame = ok(request_id, {"state": "stopped"})
+                done = True
+            elif op in OPS:
+                try:
+                    frame = ok(request_id, self._control(op, payload))
+                except ServeError as exc:
+                    frame = error(request_id, exc.kind, exc.message)
+            else:
+                frame = error(
+                    request_id,
+                    "protocol",
+                    f"unknown op {op!r}; known: {', '.join(OPS)}",
+                )
+            out.append(encode_frame(frame, codec[0]))
+            if sample:
+                if op in _EVERY_SHARD_OPS:
+                    records.extend(
+                        [(op, None, None, payload, t_disp)] * len(self._shards)
+                    )
+                elif op in MUTATION_OPS:
+                    records.append((op, tenant, resource, payload, t_disp))
+            if done:
+                self._shutdown_task = asyncio.create_task(self.shutdown())
+                break
+        if wal:
+            failed = self._commit()
+            if failed:
+                for position, index, request_id, reply_codec in held:
+                    reason = (
+                        failed.get(index)
+                        if index >= 0
+                        else next(iter(failed.values()))
+                    )
+                    if reason is not None:
+                        out[position] = encode_frame(
+                            error(request_id, "unavailable", reason),
+                            reply_codec,
+                        )
+        if records:
+            self._observe(records, t_enq)
+        return out, done
+
+    def _latency_hist(self, op: str) -> Histogram:
+        hist = self._latency.get(op)
+        if hist is None:
+            hist = self._latency[op] = self.metrics.histogram(
+                "serve_op_latency_seconds",
+                help="Per-op latency from read to reply (after the WAL "
+                "commit), by op kind.",
+                op=op,
+            )
+        return hist
+
+    def _observe(self, records: list[tuple], t_enq: float) -> None:
+        """One chunk's latency samples and dispatch spans.
+
+        ``t_reply`` is stamped here, after the chunk's commit, so every
+        sample includes the fsync wait its reply waited out.
+        """
+        t_reply = self._obs_clock()
+        latency = t_reply - t_enq
+        span = self.trace.span
+        tracing = self.trace.enabled
+        for op, tenant, resource, payload, t_disp in records:
+            self._latency_hist(op).observe(latency)
+            request_id = payload.get("id")
+            if type(request_id) is not int:
+                request_id = None
+            context = trace_context(payload) if tracing else None
+            if context is None:
+                span(
+                    op=op, tenant=tenant, resource=resource,
+                    request_id=request_id, t_enq=t_enq, t_disp=t_disp,
+                    t_reply=t_reply,
+                )
+            else:
+                # The dispatch span inherits the envelope's trace
+                # context: same trace id, parented to the hop that
+                # forwarded the frame here.
+                span(
+                    op=op, tenant=tenant, resource=resource,
+                    request_id=request_id, t_enq=t_enq, t_disp=t_disp,
+                    t_reply=t_reply, trace=context[0], span_id=new_id(),
+                    parent=context[1], kind="dispatch",
+                )
+
+    async def _write(self, writer, out: list[bytes]) -> bool:
+        """Write one chunk's replies; ``False`` once the peer is gone.
+
+        A failed write counts every reply it carried as dropped; the
+        caller hangs up this connection and the rest keep serving.
+        """
+        if not out:
+            return True
+        data = b"".join(out)
+        try:
+            writer.write(data)
+            await writer.drain()
+        except (ConnectionError, RuntimeError, OSError):
+            if self._replies_dropped is not None:
+                self._replies_dropped.inc(len(out))
+            return False
+        if self._bytes_out is not None:
+            self._bytes_out.inc(len(data))
+        return True
 
 
 class ServerThread:

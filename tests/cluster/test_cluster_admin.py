@@ -68,7 +68,6 @@ async def _start_workers(spec: ClusterSpec, workdir: Path, metrics=False):
             num_resources=spec.num_resources,
             num_shards=spec.total_shards,
             record=spec.record,
-            session_window=spec.session_window,
             metrics=MetricsRegistry() if metrics else None,
         )
         path = str(workdir / f"w{index}.sock")

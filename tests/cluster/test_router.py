@@ -86,7 +86,6 @@ def _start_inprocess_workers(spec: ClusterSpec, workdir: Path):
                 num_resources=spec.num_resources,
                 num_shards=spec.total_shards,
                 record=spec.record,
-                session_window=spec.session_window,
             )
             path = str(workdir / f"w{index}.sock")
             await server.start_unix(path)

@@ -64,3 +64,29 @@ class TestFallbackExactness:
         assert solution.value == pytest.approx(
             optimal_interval(instance).cost, abs=1e-6
         )
+
+
+class TestLazyImport:
+    def test_serving_entry_points_leave_scipy_unimported(self):
+        """scipy and numpy load on the first solve, never at import: a
+        serve or cluster process (workers and respawns included) never
+        solves, so it must not pay their import time or memory."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = (
+            "import sys\n"
+            "import repro.cli, repro.serve.server, repro.cluster.router\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'numpy')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, timeout=60, check=True,
+        )
+        assert done.stdout.strip() == "[]"

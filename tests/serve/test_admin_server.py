@@ -332,11 +332,11 @@ class TestForceRelease:
             assert forced[0] == 200
             await client.close()
             await plane.close()
-            # Abandon without shutdown: no snapshot, recovery must come
-            # entirely from the fsynced WAL.
+            # Abandon without shutdown, as kill -9 would: no snapshot,
+            # no final sync, only the kernel closing the log fds —
+            # recovery must come entirely from the committed WAL.
             for shard in server._shards:
-                if shard.task is not None:
-                    shard.task.cancel()
+                shard.wal._handle.close()
             for listener in server._servers:
                 listener.close()
                 await listener.wait_closed()

@@ -63,7 +63,6 @@ class TestMetricsVerb:
             "broker_active_grants",
             "broker_grant_table_size",
             "broker_expiry_heap_size",
-            "serve_queue_depth",
             "serve_session_tenants",
         ):
             assert name in families, name

@@ -13,6 +13,7 @@ from repro.serve.protocol import (
     CODEC_JSON,
     HEADER,
     MAX_FRAME_BYTES,
+    MAX_REQUEST_BYTES,
     FrameDecoder,
     ProtocolError,
     ServeError,
@@ -71,6 +72,60 @@ class TestFraming:
 # Binary codec: every frame type must round-trip to exactly what the
 # JSON codec would have carried.
 # ----------------------------------------------------------------------
+class TestRequestCap:
+    def test_header_over_the_cap_raises_before_the_body_arrives(self):
+        decoder = FrameDecoder(MAX_REQUEST_BYTES)
+        with pytest.raises(ProtocolError):
+            decoder.feed(HEADER.pack(MAX_REQUEST_BYTES + 1))
+        assert decoder.pending_bytes == 0
+
+    def test_frames_before_a_bad_one_ride_on_the_error(self):
+        good = [{"id": n, "op": "tick", "time": n} for n in range(3)]
+        stream = b"".join(encode_frame(p) for p in good)
+        decoder = FrameDecoder(MAX_REQUEST_BYTES)
+        with pytest.raises(ProtocolError) as caught:
+            decoder.feed(stream + HEADER.pack(4) + b"junk" + stream)
+        assert caught.value.frames == good
+        assert decoder.pending_bytes == 0
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"[" * 20000, b'{"id": ' + b"1" * 5000 + b"}"],
+        ids=["deep-nesting", "huge-int"],
+    )
+    def test_hostile_json_bodies_are_protocol_errors(self, body):
+        with pytest.raises(ProtocolError):
+            FrameDecoder(MAX_REQUEST_BYTES).feed(HEADER.pack(len(body)) + body)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.binary(max_size=96),
+                # A well-formed header around an arbitrary body, either
+                # codec, so the body decoders see the bytes too.
+                st.builds(
+                    lambda body, flag: HEADER.pack(len(body) | flag) + body,
+                    st.binary(max_size=64),
+                    st.sampled_from([0, BIN_FLAG]),
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    def test_any_chunking_of_any_bytes_stays_typed_and_bounded(self, chunks):
+        decoder = FrameDecoder(MAX_REQUEST_BYTES)
+        for chunk in chunks:
+            try:
+                frames = decoder.feed(chunk)
+            except ProtocolError as exc:
+                assert all(type(frame) is dict for frame in exc.frames)
+                assert decoder.pending_bytes == 0
+                return
+            assert all(type(frame) is dict for frame in frames)
+            assert decoder.pending_bytes <= MAX_REQUEST_BYTES + HEADER.size
+
+
 def _json_round_trip(payload: dict) -> dict:
     return json.loads(json.dumps(payload))
 

@@ -134,33 +134,6 @@ class TestDrain:
         assert rejected is not None and rejected.kind == "draining"
         assert released["grant"]["released_at"] == 0
 
-    def test_backpressure_rejects_past_the_window(self, sock_path):
-        """With no shard worker draining the queue, a second in-flight
-        request for a window=1 tenant must bounce deterministically."""
-
-        async def main():
-            server = LeaseServer(
-                SCHEDULE, num_resources=2, num_shards=1, session_window=1
-            )
-            # No listener, no workers: requests enqueue and park forever,
-            # pinning the tenant's in-flight slot.
-            first = asyncio.ensure_future(
-                server._apply("acquire", {"tenant": "t", "resource": 0, "time": 0})
-            )
-            await asyncio.sleep(0)  # let it claim the slot and enqueue
-            try:
-                await server._apply(
-                    "acquire", {"tenant": "t", "resource": 1, "time": 0}
-                )
-            except ServeError as exc:
-                return first, exc
-            finally:
-                first.cancel()
-            return first, None
-
-        _, exc = asyncio.run(main())
-        assert exc is not None and exc.kind == "backpressure"
-
 
 class TestCodecNegotiation:
     def test_hello_upgrades_to_binary_and_serves_identically(self, sock_path):

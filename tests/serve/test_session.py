@@ -1,4 +1,4 @@
-"""Session semantics: backpressure windows and idle expiry, clock-injected."""
+"""Session semantics: served counts and idle expiry, clock-injected."""
 
 import pytest
 
@@ -18,85 +18,52 @@ def clock():
     return FakeClock()
 
 
-class TestBackpressure:
-    def test_window_bounds_inflight(self, clock):
-        registry = SessionRegistry(window=2, idle_timeout=10.0, clock=clock)
-        first = registry.try_acquire("t")
-        second = registry.try_acquire("t")
-        assert first is not None and second is not None
-        assert registry.try_acquire("t") is None  # window full
-        registry.release(first)
-        assert registry.try_acquire("t") is not None  # slot freed
-
-    def test_windows_are_per_tenant(self, clock):
-        registry = SessionRegistry(window=1, idle_timeout=10.0, clock=clock)
-        assert registry.try_acquire("a") is not None
-        assert registry.try_acquire("b") is not None  # b unaffected by a
-        assert registry.try_acquire("a") is None
-
-    def test_rejections_counted(self, clock):
-        registry = SessionRegistry(window=1, idle_timeout=10.0, clock=clock)
-        session = registry.try_acquire("t")
-        registry.try_acquire("t")
-        registry.try_acquire("t")
-        assert session.rejected == 2
-        assert registry.snapshot()["rejected"] == 2
-
-    def test_window_must_be_positive(self, clock):
-        with pytest.raises(Exception):
-            SessionRegistry(window=0, clock=clock)
-
-    def test_refusals_feed_the_injected_counter(self, clock):
-        from repro.obs import Counter
-
-        refusals = Counter()
-        registry = SessionRegistry(
-            window=1, idle_timeout=10.0, clock=clock,
-            refusal_counter=refusals,
-        )
-        registry.try_acquire("t")
-        registry.try_acquire("t")
-        registry.try_acquire("t")
-        assert refusals.value == 2
+class TestServedCounts:
+    def test_served_counts_are_per_tenant(self, clock):
+        registry = SessionRegistry(idle_timeout=10.0, clock=clock)
+        registry.served("a")
+        registry.served("a")
+        registry.served("b")
+        rows = {row["tenant"]: row["served"] for row in registry.tenant_snapshot()}
+        assert rows == {"a": 2, "b": 1}
+        assert registry.snapshot()["served"] == 3
+        assert registry.snapshot()["tenants"] == 2
 
 
 class TestIdleExpiry:
     def test_idle_sessions_expire(self, clock):
-        registry = SessionRegistry(window=4, idle_timeout=5.0, clock=clock)
-        session = registry.try_acquire("t")
-        registry.release(session)
+        registry = SessionRegistry(idle_timeout=5.0, clock=clock)
+        registry.served("t")
         clock.now = 6.0
         assert registry.expire_idle() == ("t",)
         assert len(registry) == 0
         assert registry.expired_total == 1
 
     def test_active_sessions_survive_sweeps(self, clock):
-        registry = SessionRegistry(window=4, idle_timeout=5.0, clock=clock)
-        registry.try_acquire("busy")  # still in flight, never released
-        idle = registry.try_acquire("idle")
-        registry.release(idle)
+        registry = SessionRegistry(idle_timeout=5.0, clock=clock)
+        registry.served("idle")
+        clock.now = 96.0
+        registry.served("busy")  # sent a request within the timeout
         clock.now = 100.0
         assert registry.expire_idle() == ("idle",)
-        assert len(registry) == 1  # busy is pinned by its in-flight request
+        assert len(registry) == 1
 
     def test_expiries_feed_the_injected_counter(self, clock):
         from repro.obs import Counter
 
         expiries = Counter()
         registry = SessionRegistry(
-            window=4, idle_timeout=5.0, clock=clock,
-            expiry_counter=expiries,
+            idle_timeout=5.0, clock=clock, expiry_counter=expiries,
         )
         for tenant in ("a", "b"):
-            registry.release(registry.try_acquire(tenant))
+            registry.served(tenant)
         clock.now = 6.0
         assert registry.expire_idle() == ("a", "b")
         assert expiries.value == 2
 
     def test_touch_resets_the_idle_timer(self, clock):
-        registry = SessionRegistry(window=4, idle_timeout=5.0, clock=clock)
-        session = registry.try_acquire("t")
-        registry.release(session)
+        registry = SessionRegistry(idle_timeout=5.0, clock=clock)
+        registry.served("t")
         clock.now = 4.0
         registry.session("t")  # fresh request traffic
         clock.now = 8.0  # 4s since touch, 8s since first request
