@@ -1507,13 +1507,13 @@ class ClusterRouter:
         then broadcasts the ``spans`` verb so each worker answers from
         its live sink — including spans a pre-crash incarnation wrote,
         since sinks append across respawns — and each worker's spans are
-        tagged ``worker="N"``.  With ``trace_id``, workers filter at the
-        source, so only the matching spans cross the wire.
+        tagged ``worker="N"``.  With ``trace_id``, every sink answers
+        from its by-id index when that holds the whole trace, and
+        workers filter at the source, so only the matching spans cross
+        the wire.
         """
         fields = {} if trace_id is None else {"trace": trace_id}
-        spans = self.trace.live_spans()
-        if trace_id is not None:
-            spans = [s for s in spans if s.get("trace") == trace_id]
+        spans = self.trace.live_spans(trace_id)
         worker_answers = await asyncio.gather(
             *(slot.call_checked("spans", **fields) for slot in self._slots)
         )

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from .trace import parse_span
+
 
 def new_id() -> str:
     """A fresh 16-hex-digit id word for a trace or span."""
@@ -37,23 +39,27 @@ def new_id() -> str:
 def load_spans(paths: Iterable[str | Path]) -> list[dict]:
     """Every span object from the given JSONL files, in file order.
 
-    Blank lines are skipped; a malformed line raises — a trace file is
-    a machine artifact, and silent truncation would hide the very spans
-    an investigation is after.
+    Blank lines are skipped; any other line that is not a JSON object
+    raises ``ValueError`` naming ``path:line`` — a trace file is a
+    machine artifact, and silent truncation would hide the very spans
+    an investigation is after.  (The live reader,
+    :meth:`~repro.obs.trace.TraceSink.live_spans`, shares the line
+    reader but skips such lines instead.)
     """
     spans: list[dict] = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
-                span = json.loads(line)
-                if not isinstance(span, dict):
-                    raise ValueError(
-                        f"{path}:{lineno}: span line is not a JSON object"
-                    )
-                spans.append(span)
+                try:
+                    spans.append(parse_span(line))
+                except json.JSONDecodeError as exc:
+                    raise json.JSONDecodeError(
+                        f"{path}:{lineno}: {exc.msg}", exc.doc, exc.pos
+                    ) from None
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
     return spans
 
 

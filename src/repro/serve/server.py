@@ -877,7 +877,9 @@ class LeaseServer:
         if op == "metrics":
             return {"text": self.render_metrics(self._read("stats"))}
         if op == "spans":
-            return {"spans": self.spans(payload.get("trace"))}
+            # Flushed buffer plus file, so the answer includes spans a
+            # pre-crash incarnation wrote; by id, from the sink's index.
+            return {"spans": self.trace.live_spans(payload.get("trace"))}
         if op == "drain":
             return {"state": self.drain()}
         if op == "undrain":
@@ -901,18 +903,6 @@ class LeaseServer:
         if self.metrics.enabled:
             text += self.metrics.render_prometheus()
         return text
-
-    def spans(self, trace_id: str | None = None) -> list[dict]:
-        """This process's live spans (the ``spans`` verb's answer).
-
-        Flushed-buffer-plus-file, via :meth:`TraceSink.live_spans` — so
-        the answer includes spans a pre-crash incarnation wrote.  With
-        ``trace_id``, only that trace's spans.
-        """
-        spans = self.trace.live_spans()
-        if trace_id is not None:
-            spans = [s for s in spans if s.get("trace") == trace_id]
-        return spans
 
     # ------------------------------------------------------------------
     # Admin backend — the surface repro.admin.AdminPlane mounts over HTTP
@@ -1020,7 +1010,7 @@ class LeaseServer:
         """
         if not self.trace.enabled:
             return None
-        trees = build_trace_trees(self.spans(trace_id))
+        trees = build_trace_trees(self.trace.live_spans(trace_id))
         roots = trees.get(trace_id)
         if not roots:
             return None
@@ -1177,6 +1167,13 @@ class LeaseServer:
                     frame = ok(request_id, self._control(op, payload))
                 except ServeError as exc:
                     frame = error(request_id, exc.kind, exc.message)
+                except Exception as exc:
+                    # A read that fails must not drop the connection: on
+                    # a worker that link is the router's, whose EOF
+                    # reads as a dead worker.
+                    frame = error(
+                        request_id, "model", f"{type(exc).__name__}: {exc}"
+                    )
             else:
                 frame = error(
                     request_id,

@@ -2,8 +2,17 @@
 null path, and the injectable clock contract."""
 
 import json
+import os
+import tempfile
+from unittest import mock
 
-from repro.obs import NULL_TRACE, TraceSink
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.obs import NULL_TRACE, TraceSink, load_spans
+from repro.obs import trace as trace_module
+from repro.obs.trace import _ENCODE
 
 
 def _read_spans(path):
@@ -127,3 +136,225 @@ class TestTraceSink:
         NULL_TRACE.flush()
         assert NULL_TRACE.enabled is False
         assert NULL_TRACE.emitted == 0
+
+
+def _traced(sink, trace, **extra):
+    fields = dict(
+        op="acquire", tenant="t0", resource=3, request_id=7,
+        t_enq=1.0, t_disp=1.5, t_reply=2.0, trace=trace,
+        span_id="cd" * 8, parent=None, kind="dispatch",
+    )
+    fields.update(extra)
+    sink.span(**fields)
+
+
+def _rendered(fields):
+    """The old rendering: the span's dict through the sorted-key encoder."""
+    span = dict(fields)
+    if "request_id" in span:
+        span["id"] = span.pop("request_id")
+    return _ENCODE(span)
+
+
+def _by_scan(sink, trace):
+    return [s for s in sink.live_spans() if s.get("trace") == trace]
+
+
+class TestLineReader:
+    """One bad line — a torn tail, a non-object, deep nesting — must
+    not poison the live reader; the offline loader names it instead."""
+
+    def test_torn_tail_respawn_keeps_reading(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"id": 1, "trace": "aa"}\n{"id": 2, "op": "acq')
+        sink = TraceSink(str(path))
+        _traced(sink, "aa")
+        spans = sink.live_spans()
+        assert [s["id"] for s in spans] == [1, 7]
+        assert sink.skipped == 1
+        # The respawned sink ended the torn line before its own.
+        assert path.read_text().splitlines()[1] == '{"id": 2, "op": "acq'
+        assert [s["id"] for s in sink.live_spans("aa")] == [1, 7]
+
+    def test_non_object_and_deep_lines_are_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("[1]\n" + "[" * 200_000 + "\n" + '{"id": 3}\n')
+        sink = TraceSink(str(path))
+        assert sink.live_spans() == [{"id": 3}]
+        assert sink.skipped == 2
+        assert sink.live_spans("aa") == []
+
+    def test_load_spans_names_the_bad_line(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"id": 1}\n' + "[" * 200_000 + "\n")
+        with pytest.raises(ValueError, match=r"deep\.jsonl:2: .*nests too deeply"):
+            load_spans([path])
+        path.write_bytes(b'{"id": 1}\n\n{"id": "\xff"}\n')
+        with pytest.raises(ValueError, match=r"deep\.jsonl:3: "):
+            load_spans([path])
+
+    @given(st.binary(max_size=512))
+    def test_any_file_content_reads_as_dicts_or_a_value_error(self, content):
+        with tempfile.TemporaryDirectory() as workdir:
+            path = os.path.join(workdir, "trace.jsonl")
+            with open(path, "wb") as handle:
+                handle.write(content)
+            try:
+                loaded = load_spans([path])
+            except ValueError:
+                pass
+            else:
+                assert all(isinstance(s, dict) for s in loaded)
+            sink = TraceSink(path)
+            sink.emit({"id": 1, "trace": "ab"})
+            spans = sink.live_spans()
+            assert all(isinstance(s, dict) for s in spans)
+            assert spans[-1] == {"id": 1, "trace": "ab"}
+            assert sink.live_spans("ab") == _by_scan(sink, "ab")
+
+
+class TestByIdFallbacks:
+    def test_evicted_trace_reads_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(trace_module, "_INDEX_SPANS", 2)
+        sink = TraceSink(str(tmp_path / "trace.jsonl"))
+        _traced(sink, "aa", request_id=1)
+        _traced(sink, "bb", request_id=2)
+        _traced(sink, "cc", request_id=3)  # evicts "aa"
+        _traced(sink, "aa", request_id=4)  # not re-indexed
+        assert "aa" not in sink._index
+        assert [s["id"] for s in sink.live_spans("aa")] == [1, 4]
+        assert [s["id"] for s in sink.live_spans("cc")] == [3]
+
+    def test_a_second_writer_sends_queries_to_the_file(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        first = TraceSink(str(path))
+        _traced(first, "aa", request_id=1)
+        first.flush()
+        second = TraceSink(str(path))
+        _traced(second, "aa", request_id=2)
+        second.flush()
+        assert [s["id"] for s in first.live_spans("aa")] == [1, 2]
+        assert [s["id"] for s in first.live_spans("bb")] == []
+
+
+class TestQuotedCache:
+    def test_distinct_tenants_stop_at_the_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(trace_module, "_QUOTED", {})
+        path = tmp_path / "trace.jsonl"
+        sink = TraceSink(str(path))
+        expected = []
+        ids = set()
+        for i in range(10_000):
+            fields = dict(
+                op="acquire", tenant=f"tenant-{i}", resource=i % 16,
+                request_id=i, t_enq=i + 0.25, t_disp=i + 0.5,
+                t_reply=i + 0.75,
+            )
+            if i % 2:
+                fields.update(
+                    trace=f"{i:016x}", span_id=f"{i + 1:016x}",
+                    parent=f"{i + 2:016x}", kind="relay",
+                )
+                ids.update((fields["trace"], fields["span_id"],
+                            fields["parent"]))
+            sink.span(**fields)
+            expected.append(_rendered(fields))
+        sink.flush()
+        assert len(trace_module._QUOTED) == trace_module._QUOTED_MAX
+        assert not ids & trace_module._QUOTED.keys()
+        assert path.read_text().splitlines() == expected
+
+
+_IDS = [f"{i:016x}" for i in range(1, 9)]
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_ints = st.integers(min_value=-2**63, max_value=2**63)
+_untraced = st.fixed_dictionaries({
+    "op": st.sampled_from(["acquire", "release", "tick"]),
+    "tenant": st.one_of(st.none(), st.text(max_size=4)),
+    "resource": st.one_of(st.none(), _ints),
+    "request_id": st.one_of(st.none(), _ints),
+    "t_enq": _floats, "t_disp": _floats, "t_reply": _floats,
+})
+_traced_span = st.fixed_dictionaries({
+    "op": st.sampled_from(["acquire", "renew", "tick"]),
+    "tenant": st.one_of(st.none(), st.text(max_size=4)),
+    "resource": st.one_of(st.none(), _ints),
+    "request_id": st.one_of(st.none(), _ints, st.text(max_size=3)),
+    "t_enq": _floats, "t_disp": _floats, "t_reply": _floats,
+    "trace": st.sampled_from(_IDS),
+    "span_id": st.one_of(st.none(), st.sampled_from(_IDS)),
+    "parent": st.one_of(st.none(), st.sampled_from(_IDS)),
+    "kind": st.one_of(st.none(), st.sampled_from(["client", "relay", "dispatch"])),
+})
+_action = st.one_of(
+    st.tuples(st.just("span"), _untraced),
+    st.tuples(st.just("span"), _traced_span),
+    st.tuples(st.just("emit"), st.fixed_dictionaries({
+        "trace": st.sampled_from(_IDS), "n": _ints,
+    })),
+    st.tuples(st.just("check"), st.none()),
+)
+# A respawn: the old sink dies with its buffer unflushed or flushed,
+# optionally mid-line (a torn tail), and a new sink reopens the path.
+_respawn = st.tuples(st.booleans(), st.integers(min_value=0, max_value=40))
+
+
+class TestByIdIndex:
+    """The by-id answer equals the file scan it replaces."""
+
+    @given(
+        first=st.lists(_action, max_size=40),
+        traced=st.lists(
+            st.tuples(st.just("span"), _traced_span), min_size=7,
+            max_size=30,
+        ),
+        then=st.lists(_action, max_size=40),
+        later=st.lists(
+            st.tuples(_respawn, st.lists(_action, max_size=30)),
+            min_size=1, max_size=2,
+        ),
+    )
+    def test_index_answers_equal_the_file_scan(self, first, traced, then,
+                                               later):
+        cap = 6
+        with tempfile.TemporaryDirectory() as workdir, \
+                mock.patch.object(trace_module, "_INDEX_SPANS", cap):
+            path = os.path.join(workdir, "trace.jsonl")
+            sink = TraceSink(path, flush_every=5)
+            self._drive(sink, first + traced + then, cap)
+            assert sink._evicted  # more traced spans than the cap
+            for (flushed, torn), actions in later:
+                if flushed:
+                    sink.flush()
+                if torn:
+                    line = _ENCODE({"id": 0, "trace": _IDS[0]})
+                    with open(path, "a", encoding="utf-8") as handle:
+                        handle.write(line[:torn])
+                sink = TraceSink(path, flush_every=5)
+                self._drive(sink, actions, cap)
+            self._check(sink)
+
+    def _drive(self, sink, actions, cap):
+        for kind, fields in actions:
+            if kind == "span":
+                sink.span(**fields)
+            elif kind == "emit":
+                sink.emit(fields)
+            else:
+                self._check(sink)
+                continue
+            assert self._last_line(sink) == _rendered(fields)
+            index = sink._index
+            if index is not None:
+                assert sink._indexed == sum(map(len, index.values())) <= cap
+
+    @staticmethod
+    def _last_line(sink):
+        if sink._buffer:
+            return sink._buffer[-1]
+        with open(sink.path, encoding="utf-8") as handle:
+            return handle.read().splitlines()[-1]
+
+    def _check(self, sink):
+        for trace in [*_IDS, "f" * 16]:
+            assert sink.live_spans(trace) == _by_scan(sink, trace)

@@ -9,6 +9,7 @@ from repro.obs import TraceSink, build_trace_trees, load_spans
 from repro.serve import AsyncLeaseClient, LeaseServer
 from repro.serve.protocol import (
     _TRACE_FLAG,
+    ServeError,
     _TRACE_STRUCT,
     decode_body_bin,
     encode_body_bin,
@@ -265,3 +266,79 @@ class TestSpanLinkage:
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
         assert traced == bare
+
+
+class TestSpansVerbOverABadFile:
+    """A span file a crash left behind must not cost the connection."""
+
+    @staticmethod
+    def _serve(tmp_path, sink, calls):
+        async def main(sock):
+            server = LeaseServer(
+                SCHEDULE, num_resources=8, num_shards=2, trace=sink
+            )
+            await server.start_unix(sock)
+            client = await AsyncLeaseClient.open_unix(
+                sock, trace=TraceSink(tmp_path / "client.jsonl")
+            )
+            try:
+                return await calls(client)
+            finally:
+                await client.close()
+                await server.shutdown()
+
+        import shutil
+        import tempfile
+
+        workdir = tempfile.mkdtemp(prefix="rsv-")
+        try:
+            return asyncio.run(main(f"{workdir}/t.sock"))
+        finally:
+            shutil.rmtree(workdir, ignore_errors=True)
+
+    def test_torn_tail_respawn_is_answered_by_the_spans_verb(self, tmp_path):
+        # The predecessor was killed mid-flush: one whole span, then a
+        # torn one.  The respawned server appends after it.
+        path = tmp_path / "server.jsonl"
+        before = {"id": 1, "op": "acquire", "trace": "ab" * 8}
+        path.write_text(json.dumps(before) + '\n{"id": 2, "op": "ac')
+        sink = TraceSink(path)
+
+        async def calls(client):
+            await client.acquire("t-0", 1, 0)
+            return (
+                await client.call("spans"),
+                await client.call("spans", trace="ab" * 8),
+            )
+
+        everything, one = self._serve(tmp_path, sink, calls)
+        assert everything["spans"][0] == before
+        assert [s.get("kind") for s in everything["spans"][1:]] == [
+            "dispatch"
+        ]
+        assert one["spans"] == [before]
+        assert sink.skipped == 2
+
+    def test_a_failing_read_answers_an_error_frame(self, tmp_path):
+        class BrokenSink(TraceSink):
+            __slots__ = ()
+
+            def live_spans(self, trace_id=None):
+                raise OSError("span file unreadable")
+
+        async def calls(client):
+            try:
+                await client.call("spans")
+            except ServeError as exc:
+                failed = exc
+            else:
+                failed = None
+            # The same connection keeps serving.
+            await client.acquire("t-0", 1, 0)
+            return failed
+
+        failed = self._serve(
+            tmp_path, BrokenSink(tmp_path / "server.jsonl"), calls
+        )
+        assert failed is not None
+        assert "OSError: span file unreadable" in str(failed)
