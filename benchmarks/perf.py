@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Perf-trajectory CLI: run the serving-layer benchmarks, persist, gate.
+"""Perf-trajectory CLI: run the offline broker benchmarks, persist, gate.
 
 Thin front end over :mod:`repro.engine.perf`.  Typical uses::
 
@@ -13,23 +13,11 @@ Thin front end over :mod:`repro.engine.perf`.  Typical uses::
     # the committed files
     PYTHONPATH=src python benchmarks/perf.py --mode smoke --out perf-results
 
-The committed ``benchmarks/BENCH_*.json`` files carry a frozen
-``baseline`` block (the pre-optimization reference; for p03, the first
-recorded serving throughput; for p05, the first recorded uninstrumented
-rate) plus per-mode current numbers; see EXPERIMENTS.md for the schema
-and refresh policy.  ``p05_obs`` additionally gates the observability
-overhead: the instrumented serving rate must stay within 10% of the
-uninstrumented rate measured in the same run.  ``p06_durable`` gates
-durability the same way: batch-fsynced serving must keep at least 80%
-of the WAL-off rate from the same run.  ``p07_admin`` gates the HTTP
-ops plane: serving with the plane mounted and scraped at 4 Hz must keep
-at least 90% of the bare rate from the same run.  ``p08_flight`` gates
-the whole live-debugging layer — metrics, trace spans, the history
-ring, a running profiler, and a scraper pulling ``/metrics/history``
-and ``/profile`` — at the same 90% floor against the bare rate.
-``p09_direct`` gates the cluster topology split: on a multi-core
-machine the direct data plane must at least match the routed relay
-measured in the same run.
+The committed ``benchmarks/BENCH_p01_broker.json`` and
+``benchmarks/BENCH_p02_runner.json`` carry a frozen ``baseline`` block
+(the pre-optimization reference) plus per-mode current numbers; see
+EXPERIMENTS.md for the schema and refresh policy.  Serving speed is
+judged by ``leasebench/run.py`` (see ``BENCHMARK.json``), not here.
 """
 
 from __future__ import annotations
@@ -46,7 +34,7 @@ from repro.engine import perf  # noqa: E402
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="serving-layer perf trajectory: measure, persist, gate"
+        description="broker perf trajectory: measure, persist, gate"
     )
     parser.add_argument(
         "--bench", action="append", choices=perf.BENCH_NAMES, default=None,
@@ -87,48 +75,6 @@ def main(argv: list[str] | None = None) -> int:
                 f", shard speedup {metrics['shard_speedup']}x "
                 f"({record['env']['cpus']} cpus), "
                 f"byte-identical={metrics['byte_identical']}"
-            )
-        if "overhead_ratio" in metrics:
-            line += (
-                f", off {metrics['off_events_per_sec']:,}/s vs "
-                f"on {metrics['on_events_per_sec']:,}/s "
-                f"(ratio {metrics['overhead_ratio']}), "
-                f"identical={metrics['reports_identical']}"
-            )
-        if "batch_ratio" in metrics:
-            line += (
-                f", off {metrics['off_events_per_sec']:,}/s vs "
-                f"batch {metrics['batch_events_per_sec']:,}/s vs "
-                f"always {metrics['always_events_per_sec']:,}/s "
-                f"(ratios {metrics['batch_ratio']}/"
-                f"{metrics['always_ratio']}), "
-                f"wal {metrics['wal_bytes']:,}B, "
-                f"identical={metrics['reports_identical']}"
-            )
-        if "admin_ratio" in metrics:
-            line += (
-                f", bare {metrics['bare_events_per_sec']:,}/s vs "
-                f"admin {metrics['admin_events_per_sec']:,}/s "
-                f"(ratio {metrics['admin_ratio']}), "
-                f"identical={metrics['reports_identical']}"
-            )
-        if "direct_ratio" in metrics:
-            line += (
-                f", routed {metrics['routed_events_per_sec']:,}/s vs "
-                f"direct {metrics['direct_events_per_sec']:,}/s "
-                f"(speedup {metrics['direct_ratio']}x, "
-                f"{record['env']['cpus']} cpus), "
-                f"identical={metrics['reports_identical']}"
-            )
-        if "flight_ratio" in metrics:
-            line += (
-                f", off {metrics['off_events_per_sec']:,}/s vs "
-                f"flight {metrics['flight_events_per_sec']:,}/s "
-                f"(ratio {metrics['flight_ratio']}), "
-                f"{metrics['trace_spans']:,} spans, "
-                f"{metrics['history_samples']} history samples, "
-                f"{metrics['profile_samples']:,} profile samples, "
-                f"identical={metrics['reports_identical']}"
             )
         print(line)
         committed_path = REPO_ROOT / perf.BENCH_FILES[bench]

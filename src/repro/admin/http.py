@@ -29,6 +29,9 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 MAX_REQUEST_LINE = 8192
 MAX_HEADER_LINES = 64
 MAX_BODY_BYTES = 1 << 20
+# A longer digit string is out of range without converting it (int()
+# refuses strings past sys.get_int_max_str_digits()).
+_MAX_LENGTH_DIGITS = len(str(MAX_BODY_BYTES))
 
 #: Keep-alive bound: a connection serves at most this many requests.
 MAX_REQUESTS_PER_CONNECTION = 32
@@ -84,14 +87,24 @@ def text_response(
 
 
 async def _read_line(reader: asyncio.StreamReader) -> str:
-    line = await reader.readline()
+    try:
+        line = await reader.readline()
+    except ValueError:
+        # The line overran the stream's own buffer limit (64 KiB by
+        # default) before a newline arrived.
+        raise HttpError(400, "header line too long") from None
     if len(line) > MAX_REQUEST_LINE:
         raise HttpError(400, "header line too long")
     return line.decode("latin-1").rstrip("\r\n")
 
 
 async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
-    """Parse one HTTP/1.1 request; ``None`` on a cleanly closed stream."""
+    """Parse one HTTP/1.1 request; ``None`` on a cleanly closed stream.
+
+    Any bytes a peer sends end in a request, ``None``, an
+    :class:`HttpError` or :class:`asyncio.IncompleteReadError` (the peer
+    closed mid-body) — never another exception.
+    """
     request_line = await _read_line(reader)
     if not request_line:
         return None
@@ -99,7 +112,11 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise HttpError(400, f"malformed request line: {request_line!r}")
     method, target, _version = parts
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError:
+        # e.g. an unbalanced "[" in the authority: "Invalid IPv6 URL".
+        raise HttpError(400, f"malformed request target: {target!r}") from None
     query = dict(parse_qsl(split.query, keep_blank_values=True))
     headers: dict[str, str] = {}
     for _ in range(MAX_HEADER_LINES):
@@ -115,13 +132,13 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     body = b""
     length = headers.get("content-length")
     if length is not None:
-        try:
-            size = int(length)
-        except ValueError:
-            raise HttpError(400, f"bad content-length: {length!r}") from None
-        if not 0 <= size <= MAX_BODY_BYTES:
-            raise HttpError(400, f"content-length out of range: {size}")
-        body = await reader.readexactly(size)
+        # ASCII digits only: int() would also take "+10", "1_0" and
+        # other scripts' digits.
+        if not (length.isascii() and length.isdigit()):
+            raise HttpError(400, f"bad content-length: {length!r}")
+        if len(length) > _MAX_LENGTH_DIGITS or int(length) > MAX_BODY_BYTES:
+            raise HttpError(400, f"content-length out of range: {length}")
+        body = await reader.readexactly(int(length))
     return HttpRequest(
         method=method.upper(),
         path=unquote(split.path),

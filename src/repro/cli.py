@@ -870,7 +870,6 @@ def cmd_engine_loadgen(args) -> int:
         build_serve_instance,
         compare_with_inline,
         drive_tenants,
-        drive_tenants_direct,
         merge_shard_payloads,
         run_serve_instance,
         serve_once,
@@ -1042,11 +1041,10 @@ def cmd_engine_loadgen(args) -> int:
                         "direct data plane (no routing handshake in its "
                         "hello); drop --direct or start `engine cluster`",
                     )
-                drive = drive_tenants_direct if args.direct else drive_tenants
-                report = await drive(
+                report = await drive_tenants(
                     instance, args.socket, retry_for=args.connect_timeout,
                     codec=args.codec, latency_registry=latency,
-                    client_trace=client_trace,
+                    client_trace=client_trace, direct=args.direct,
                 )
                 if args.shutdown:
                     await client.shutdown()

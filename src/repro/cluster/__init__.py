@@ -24,8 +24,8 @@ byte-identical to an inline replay of the merged trace.
   view, fed by beats off every worker-link frame.
 * :mod:`repro.cluster.loadgen` — the ``cluster-*`` scenario half:
   closed-loop tenants against a live fleet, aggregate checked
-  byte-identical against the inline replay; powers ``engine cluster``,
-  ``engine loadgen --cluster``, and the ``p04_cluster`` benchmark.
+  byte-identical against the inline replay; powers ``engine cluster``
+  and ``engine loadgen --cluster``.
 """
 
 from .liveness import (

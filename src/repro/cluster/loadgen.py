@@ -14,9 +14,7 @@ front, and (by default) the binary codec on every router→worker link.
 
 :func:`cluster_once` performs one full cycle — spawn workers, connect
 the router, drive every tenant, fetch the merged report, shut the fleet
-down — and reports the drive-phase wall clock separately
-(``drive_seconds``), since process spawn time is operations, not
-serving.  :func:`run_cluster_instance` wraps that cycle with the same
+down.  :func:`run_cluster_instance` wraps that cycle with the same
 served-vs-inline judgement the serve family uses, recorded under
 ``detail["cluster"]`` and enforced by :func:`verify_cluster`.
 """
@@ -26,7 +24,6 @@ from __future__ import annotations
 import asyncio
 import shutil
 import tempfile
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -41,7 +38,6 @@ from ..obs.trace import TraceSink
 from ..serve.loadgen import (
     compare_with_inline,
     drive_tenants,
-    drive_tenants_direct,
     merge_shard_payloads,
 )
 from ..serve.protocol import CODEC_BIN, CODECS
@@ -50,8 +46,7 @@ from .router import ClusterRouter
 from .spec import TRANSPORTS, ClusterSpec
 
 #: How tenants reach the fleet's data plane.  ``routed`` relays every
-#: mutation through the router (the pre-PR-10 shape, and the baseline
-#: arm of the ``p09_direct`` benchmark); ``direct`` performs the routing
+#: mutation through the router; ``direct`` performs the routing
 #: handshake and sends mutations straight to the owning worker.
 TOPOLOGIES: tuple[str, ...] = ("routed", "direct")
 
@@ -218,10 +213,7 @@ def cluster_once(
     Spawns the worker fleet, fronts it with a router on a throwaway unix
     socket, drives every tenant closed-loop, fetches the merged
     per-shard report, and shuts everything down — workers over the wire
-    first, then reaped.  The result carries ``drive_seconds``: the wall
-    clock of the drive phase alone (connect tenants, replay days, fetch
-    report), which is what the ``p04_cluster`` benchmark rates.
-    ``metrics`` instruments the router's worker links;
+    first, then reaped.  ``metrics`` instruments the router's worker links;
     ``latency_registry`` samples client-side per-tenant op latency, as
     in :func:`~repro.serve.loadgen.drive_tenants`.
 
@@ -250,11 +242,6 @@ def cluster_once(
             else (lambda day: fault_hook(day, workers))
         )
 
-        drive = (
-            drive_tenants_direct if instance.topology == "direct"
-            else drive_tenants
-        )
-
         async def _route_and_drive() -> dict:
             router = ClusterRouter(
                 spec, worker_window=instance.worker_window, metrics=metrics,
@@ -268,15 +255,14 @@ def cluster_once(
             )
             await router.start_unix(router_socket)
             try:
-                start = time.perf_counter()
-                report = await drive(
+                report = await drive_tenants(
                     instance, router_socket,
                     retry_for=retry_for, codec=instance.codec,
                     latency_registry=latency_registry,
                     on_day=on_day,
                     client_trace=client_trace,
+                    direct=instance.topology == "direct",
                 )
-                report["drive_seconds"] = time.perf_counter() - start
                 report["respawns"] = sum(w.respawns for w in workers)
                 return report
             finally:

@@ -20,8 +20,8 @@ Two pieces:
   copy and unlinks immediately, so the segment's lifetime is bounded by
   the claiming call and nothing ever travels through the pool pipe.
 
-The broker, runner, and perf harness use this for fan-out; everything
-else keeps its plain tuples.
+The sharded replay runner uses this for fan-out; everything else keeps
+its plain tuples.
 """
 
 from __future__ import annotations

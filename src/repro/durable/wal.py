@@ -334,19 +334,38 @@ def read_wal_records(path: str | Path) -> list[dict]:
 
 
 def load_snapshot(path: str | Path) -> dict | None:
-    """Read one ``snap.json``; ``None`` when absent."""
+    """Read one ``snap.json``; ``None`` when absent.
+
+    Whatever the file holds, the answer is a document with an integer
+    ``seq``, a ``state`` object and an ``applied`` list (or null), or a
+    :class:`~repro.errors.ModelError` naming the file.
+    """
     path = Path(path)
     if not path.exists():
         return None
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and
+        # integers past the digit limit; RecursionError deep nesting.
         raise ModelError(f"corrupt snapshot {path}: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ModelError(
+            f"corrupt snapshot {path}: expected an object, "
+            f"got {type(document).__name__}"
+        )
     if document.get("version") != SNAPSHOT_VERSION:
         raise ModelError(
             f"{path}: unsupported snapshot version "
             f"{document.get('version')!r}"
         )
+    seq = document.get("seq")
+    if type(seq) is not int or seq < 0:
+        raise ModelError(f"corrupt snapshot {path}: bad seq {seq!r}")
+    if not isinstance(document.get("state"), dict):
+        raise ModelError(f"corrupt snapshot {path}: missing state object")
+    if not isinstance(document.get("applied", []), (list, type(None))):
+        raise ModelError(f"corrupt snapshot {path}: applied is not a list")
     return document
 
 
@@ -363,7 +382,7 @@ def recover_shard(directory: str | Path) -> ShardRecovery:
     if snapshot is not None:
         recovery.state = snapshot["state"]
         recovery.applied = snapshot.get("applied")
-        recovery.last_seq = int(snapshot["seq"])
+        recovery.last_seq = snapshot["seq"]
     log_path = directory / WAL_FILE
     if log_path.exists():
         for record in read_wal_records(log_path):

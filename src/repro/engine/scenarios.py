@@ -555,8 +555,9 @@ def make_broker_scenario(
 
     The schedule uses ``cost_growth=2.0`` so every lease cost, and hence
     every cost sum, is exactly representable — shard merges cannot drift
-    by a ULP no matter how resources are grouped.  The perf harness
-    re-instantiates this family at heavy sizes via ``name``/``horizon``.
+    by a ULP no matter how resources are grouped.  The ``p02_runner``
+    perf bench re-instantiates this family at heavy sizes via
+    ``name``/``horizon``.
     """
     schedule = LeaseSchedule.power_of_two(num_types, cost_growth=2.0)
 

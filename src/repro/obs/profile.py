@@ -12,7 +12,7 @@ Zero cost when off: construction allocates a deque and nothing else; no
 thread exists until :meth:`start`, and :meth:`stop` joins it.  The
 profiler observes wall-clock scheduling only — it never touches broker
 state, so the byte-identity contract is untouched by profiling a live
-server (gated by the ``p08_flight`` bench).
+server.
 
 Exposed as ``GET /profile?seconds=`` on the admin planes (capture for N
 seconds, return the aggregated stacks) and rendered offline by

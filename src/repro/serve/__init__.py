@@ -13,20 +13,18 @@ sharing one Python call stack.
   every frame on that broker in read order, on the one event loop, with
   one WAL commit per read chunk; :class:`ServerThread` hosts its loop
   for sync callers.
-* :mod:`repro.serve.client` — :class:`AsyncLeaseClient` (pipelined) and
-  :class:`AsyncClientPool`, plus the blocking reconnecting
-  :class:`LeaseClient`.
+* :mod:`repro.serve.client` — :class:`AsyncLeaseClient` (pipelined),
+  the two-plane :class:`DirectLeaseClient`, and the blocking
+  reconnecting :class:`LeaseClient`.
 * :mod:`repro.serve.session` — per-tenant sessions: served counts and
   idle expiry.
 * :mod:`repro.serve.loadgen` — closed-loop tenant workloads over unix
   sockets whose served aggregate is checked byte-identical against an
   inline replay of the merged trace; powers the ``serve-*`` scenario
-  family, ``python -m repro engine {serve,loadgen}``, and the ``p03``
-  perf benchmark.
+  family and ``python -m repro engine {serve,loadgen}``.
 """
 
 from .client import (
-    AsyncClientPool,
     AsyncLeaseClient,
     DirectLeaseClient,
     LeaseClient,
@@ -37,7 +35,6 @@ from .loadgen import (
     build_serve_instance,
     compare_with_inline,
     drive_tenants,
-    drive_tenants_direct,
     merge_shard_payloads,
     replay_applied,
     run_serve_instance,
@@ -64,7 +61,6 @@ from .server import LeaseServer, ServerThread, shard_ranges
 from .session import SessionRegistry, TenantSession
 
 __all__ = [
-    "AsyncClientPool",
     "AsyncLeaseClient",
     "CODEC_BIN",
     "CODEC_JSON",
@@ -88,7 +84,6 @@ __all__ = [
     "build_serve_instance",
     "compare_with_inline",
     "drive_tenants",
-    "drive_tenants_direct",
     "encode_frame",
     "merge_shard_payloads",
     "negotiate_codec",

@@ -3,12 +3,11 @@
 :class:`AsyncLeaseClient` is the pipelining client the loadgen tenants
 use: one connection, any number of in-flight requests, responses matched
 back to awaiting callers by request id by a background reader task.
-:class:`AsyncClientPool` spreads calls round-robin over a fixed set of
-such connections.  :class:`DirectLeaseClient` is the two-plane cluster
-client: it performs the routing handshake (the ``route`` verb) against
-a cluster router, then sends mutations straight to the owning worker
-over per-worker links, keeping the router only for ticks, barriers,
-and staleness probes.  :class:`LeaseClient` is the blocking counterpart for
+:class:`DirectLeaseClient` is the two-plane cluster client: it performs
+the routing handshake (the ``route`` verb) against a cluster router,
+then sends mutations straight to the owning worker over per-worker
+links, keeping the router only for ticks, barriers, and staleness
+probes.  :class:`LeaseClient` is the blocking counterpart for
 synchronous callers (scripts, tests, CLIs without an event loop): one
 socket, sequential calls, an explicit :meth:`LeaseClient.pipeline` for
 batched round trips, and optional transparent reconnect — a call that
@@ -82,7 +81,7 @@ class AsyncLeaseClient:
         self._trace_sink = trace if trace is not None else NULL_TRACE
         self._peer_trace = False
         #: Dial attempts the opening factory spent (1 = first try
-        #: connected); the loadgen sums these into its report.
+        #: connected).
         self.connect_attempts = 1
         self._reader_task = asyncio.create_task(self._read_loop())
 
@@ -349,45 +348,6 @@ async def _retry_connect(factory, retry_for: float):
                 raise
             sleep, delay = _next_backoff(delay)
             await asyncio.sleep(min(sleep, deadline - now))
-
-
-class AsyncClientPool:
-    """A fixed pool of pipelined connections, dealt out round-robin.
-
-    ``call`` hands each request to the next connection in turn, so many
-    concurrent callers spread over every socket while each individual
-    request stays an ordinary pipelined call.
-    """
-
-    def __init__(self, clients: Sequence[AsyncLeaseClient]):
-        if not clients:
-            raise ModelError("AsyncClientPool needs at least one client")
-        self._clients = tuple(clients)
-        self._cursor = itertools.cycle(range(len(self._clients)))
-
-    @classmethod
-    async def open_unix(
-        cls, path: str, size: int = 4, retry_for: float = 5.0
-    ) -> "AsyncClientPool":
-        clients = [
-            await AsyncLeaseClient.open_unix(path, retry_for=retry_for)
-            for _ in range(size)
-        ]
-        return cls(clients)
-
-    def __len__(self) -> int:
-        return len(self._clients)
-
-    def client(self) -> AsyncLeaseClient:
-        """The next connection in round-robin order."""
-        return self._clients[next(self._cursor)]
-
-    async def call(self, op: str, **fields: Any) -> dict:
-        return await self.client().call(op, **fields)
-
-    async def close(self) -> None:
-        for client in self._clients:
-            await client.close()
 
 
 def parse_worker_endpoint(endpoint: str) -> tuple[str, tuple]:

@@ -44,7 +44,6 @@ from __future__ import annotations
 import asyncio
 import shutil
 import tempfile
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -53,7 +52,6 @@ from ..core.results import RunResult
 from ..analysis.verify import VerificationReport
 from ..engine.broker import LeaseBroker, replay_trace
 from ..engine.events import (
-    Acquire,
     Event,
     Release,
     Tick,
@@ -170,7 +168,7 @@ def _day_schedule(
 
 
 async def _tenant_burst(
-    client: AsyncLeaseClient,
+    client: AsyncLeaseClient | DirectLeaseClient,
     events: list[Event],
     hist: Histogram | None = None,
     clock=None,
@@ -202,6 +200,7 @@ async def drive_tenants(
     latency_registry: MetricsRegistry | None = None,
     on_day=None,
     client_trace: TraceSink | None = None,
+    direct: bool = False,
 ) -> dict:
     """Drive a server at ``socket_path`` with the instance's tenants.
 
@@ -212,6 +211,21 @@ async def drive_tenants(
     connection (falling back to JSON if the server declines); the
     ``instance`` only needs ``.tenants`` and ``.trace.events``, so the
     cluster loadgen drives through here too.
+
+    ``direct=True`` drives a *cluster router* over direct data paths:
+    each tenant is a :class:`~repro.serve.client.DirectLeaseClient` that
+    handshakes with the router once (the ``route`` verb) and then sends
+    its mutations straight to the owning worker, so the router only sees
+    the ticks, the final ``report`` barrier and the handshakes.  The
+    determinism argument is unchanged: the day's tick is awaited on the
+    control connection before any tenant fires, and the tick barrier
+    completes on every worker before it answers.  A worker killed
+    mid-drive surfaces as a dead link; the tenant's client re-handshakes
+    until supervision brings the worker back and resends the op
+    retry-marked, which the recovered worker's applied-identity dedup
+    makes exactly-once.  The report then also carries ``handshakes``
+    (route calls across all tenants) and ``retried_ops`` (mutations
+    resent after a worker death).
 
     ``latency_registry``, when given and enabled, receives one
     :data:`LOADGEN_LATENCY_METRIC` histogram series per tenant with
@@ -232,8 +246,9 @@ async def drive_tenants(
     control = await AsyncLeaseClient.open_unix(
         socket_path, retry_for=retry_for, codec=codec, trace=client_trace
     )
+    tenant_client = DirectLeaseClient if direct else AsyncLeaseClient
     clients = {
-        tenant: await AsyncLeaseClient.open_unix(
+        tenant: await tenant_client.open_unix(
             socket_path, retry_for=retry_for, codec=codec, trace=client_trace
         )
         for tenant in instance.tenants
@@ -281,111 +296,13 @@ async def drive_tenants(
         if client_trace is not None:
             client_trace.flush()
     report["requests"] = requests
-    report["connect_attempts"] = control.connect_attempts + sum(
-        client.connect_attempts for client in clients.values()
-    )
-    return report
-
-
-async def drive_tenants_direct(
-    instance: ServeInstance,
-    socket_path: str,
-    retry_for: float = 5.0,
-    codec: str | None = None,
-    latency_registry: MetricsRegistry | None = None,
-    on_day=None,
-    client_trace: TraceSink | None = None,
-    recover_for: float = 60.0,
-) -> dict:
-    """Drive a *cluster router* at ``socket_path`` over direct data paths.
-
-    The two-plane counterpart of :func:`drive_tenants`: each tenant is a
-    :class:`~repro.serve.client.DirectLeaseClient` that handshakes with
-    the router once (the ``route`` verb) and then sends its acquires,
-    renews, and releases straight to the owning worker; the router only
-    sees the ticks, the final ``report`` barrier, and the handshakes.
-
-    The determinism argument is unchanged.  The coordinator still steps
-    the fleet bulk-synchronously — the day's tick is awaited on the
-    control connection *before* any tenant fires, and the tick barrier
-    completes on every worker before it answers, so every direct
-    mutation a tenant then sends is applied after the tick in its
-    worker; the releases/acquires phase barriers do the rest.
-    Within a phase, direct ops on distinct (tenant, resource) keys
-    interleave arbitrarily — exactly the interleaving freedom the routed
-    drive admits, and the one the broker's outcome is invariant under.
-    A worker killed mid-drive surfaces as a dead link; the tenant's
-    client re-handshakes until supervision brings the worker back and
-    resends the op retry-marked, which the recovered worker's
-    applied-identity dedup makes exactly-once (see
-    :class:`~repro.serve.client.DirectLeaseClient`).
-
-    Returns the same shape as :func:`drive_tenants`, plus
-    ``handshakes`` (route calls across all tenants) and ``retried_ops``
-    (mutations resent after a worker death).
-    """
-    control = await AsyncLeaseClient.open_unix(
-        socket_path, retry_for=retry_for, codec=codec, trace=client_trace
-    )
-    clients = {
-        tenant: await DirectLeaseClient.open_unix(
-            socket_path, retry_for=retry_for, codec=codec,
-            recover_for=recover_for, trace=client_trace,
+    if direct:
+        report["handshakes"] = sum(
+            client.handshakes for client in clients.values()
         )
-        for tenant in instance.tenants
-    }
-    hists: dict[str, Histogram] = {}
-    obs_clock = None
-    if latency_registry is not None and latency_registry.enabled:
-        obs_clock = latency_registry.clock
-        hists = {
-            tenant: latency_registry.histogram(
-                LOADGEN_LATENCY_METRIC,
-                help="Client-observed op round-trip latency, per tenant.",
-                tenant=tenant,
-            )
-            for tenant in instance.tenants
-        }
-    requests = 0
-    try:
-        for day, has_tick, releases, acquires in _day_schedule(
-            instance.trace.events
-        ):
-            if on_day is not None:
-                on_day(day)
-            if has_tick:
-                await control.tick(day)
-                requests += 1
-            for phase in (releases, acquires):
-                if not phase:
-                    continue
-                counts = await asyncio.gather(
-                    *(
-                        _tenant_burst(
-                            clients[tenant], events,
-                            hists.get(tenant), obs_clock,
-                        )
-                        for tenant, events in phase.items()
-                    )
-                )
-                requests += sum(counts)
-        report = await control.report()
-    finally:
-        for client in clients.values():
-            await client.close()
-        await control.close()
-        if client_trace is not None:
-            client_trace.flush()
-    report["requests"] = requests
-    report["connect_attempts"] = control.connect_attempts + sum(
-        client.connect_attempts for client in clients.values()
-    )
-    report["handshakes"] = sum(
-        client.handshakes for client in clients.values()
-    )
-    report["retried_ops"] = sum(
-        client.retried_ops for client in clients.values()
-    )
+        report["retried_ops"] = sum(
+            client.retried_ops for client in clients.values()
+        )
     return report
 
 
@@ -444,108 +361,23 @@ def compare_with_inline(
     return inline, equal
 
 
-async def _admin_http_get(port: int, path: str) -> bytes:
-    """One raw HTTP GET against the admin plane (scraper-style).
-
-    Sends ``Connection: close`` so the read-to-EOF below terminates —
-    the plane's listener is keep-alive by default.
-    """
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    try:
-        writer.write(
-            f"GET {path} HTTP/1.1\r\nHost: localhost\r\n"
-            f"Connection: close\r\n\r\n".encode("ascii")
-        )
-        await writer.drain()
-        return await reader.read(-1)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except Exception:
-            pass
-
-
-#: What the default admin scraper polls each cycle.
-DEFAULT_POLL_PATHS = ("/metrics", "/leases")
-
-
-async def _poll_admin(
-    port: int, hz: float, paths: tuple[str, ...] = DEFAULT_POLL_PATHS
-) -> None:
-    """Background scraper: hit each admin path at ``hz`` forever.
-
-    What a real scrape loop does to a serving process — the p07 bench
-    runs this against the admin arm to price the ops plane under load,
-    and the p08 flight bench widens ``paths`` to the history and
-    profiler endpoints.  Connection errors are swallowed: the plane may
-    be mid-teardown.
-    """
-    period = 1.0 / hz
-    while True:
-        for path in paths:
-            try:
-                await _admin_http_get(port, path)
-            except (ConnectionError, OSError, asyncio.IncompleteReadError):
-                pass
-        await asyncio.sleep(period)
-
-
 def serve_once(
     instance: ServeInstance,
     metrics: MetricsRegistry | None = None,
     trace_sink: TraceSink | None = None,
     latency_registry: MetricsRegistry | None = None,
-    wal_dir: str | None = None,
-    fsync: str = "batch",
-    snapshot_every: int | None = None,
-    timings: dict | None = None,
-    admin: bool = False,
-    admin_poll_hz: float = 4.0,
-    admin_poll_paths: tuple[str, ...] = DEFAULT_POLL_PATHS,
     client_trace: TraceSink | None = None,
-    history=None,
-    profiler=None,
 ) -> dict:
     """One full serving cycle: in-process server, tenants, final report.
 
     Starts a :class:`~repro.serve.server.LeaseServer` on a throwaway
     unix socket, drives every tenant closed-loop, and returns the
-    ``report`` payload.  This is the whole *serving* hot path and
-    nothing else — the perf harness times exactly this call, with
-    ``metrics``/``trace_sink`` passed through to the server (the
-    observability-overhead bench) and ``latency_registry`` to the
-    client side.  ``wal_dir`` (with ``fsync``/``snapshot_every``)
-    enables the per-shard write-ahead log, which the durability-overhead
-    bench prices against this same call with the WAL off.
-
-    When a ``timings`` dict is passed in, ``timings["drive"]`` receives
-    the wall-clock seconds of the drive window alone — tenants
-    connecting through final report, excluding server startup
-    (recovery) and shutdown (the final snapshot + fsync).  The
-    durability bench rates throughput on this window: teardown
-    snapshots are a per-shard constant, not a per-event cost, and
-    folding them into the rate would punish short runs for durability
-    they already paid for.
-
-    ``admin=True`` mounts a :class:`~repro.admin.AdminPlane` on an
-    ephemeral TCP port beside the unix lease socket and runs a
-    background scraper polling each of ``admin_poll_paths`` at
-    ``admin_poll_hz`` for the whole drive — the p07 bench's admin arm;
-    the p08 flight bench widens the paths to ``/metrics/history`` and
-    ``/profile``.  ``history`` and ``profiler`` flow through to the
-    server (a :class:`~repro.obs.history.MetricsHistory` ring and a
-    :class:`~repro.obs.profile.SamplingProfiler`); ``client_trace``
-    flows through to :func:`drive_tenants`, making the tenants trace
-    originators.
+    ``report`` payload.  ``metrics`` and ``trace_sink`` flow through to
+    the server; ``latency_registry`` and ``client_trace`` flow through
+    to :func:`drive_tenants` (client-side latency sampling, and tenants
+    as trace originators).
     """
     trace = instance.trace
-    wal_kwargs: dict = {}
-    if wal_dir is not None:
-        wal_kwargs["wal_dir"] = wal_dir
-        wal_kwargs["fsync"] = fsync
-        if snapshot_every is not None:
-            wal_kwargs["snapshot_every"] = snapshot_every
 
     async def _serve_and_drive(socket_path: str) -> dict:
         server = LeaseServer(
@@ -554,42 +386,14 @@ def serve_once(
             num_shards=instance.num_shards,
             metrics=metrics,
             trace=trace_sink,
-            history=history,
-            profiler=profiler,
-            **wal_kwargs,
         )
         await server.start_unix(socket_path)
-        plane = None
-        scraper = None
-        if admin:
-            # Imported lazily: repro.admin imports nothing from here,
-            # but the serving hot path should not pay the import unless
-            # the admin arm is actually requested.
-            from ..admin.plane import AdminPlane
-
-            plane = AdminPlane(server)
-            port = await plane.start_tcp()
-            scraper = asyncio.create_task(
-                _poll_admin(port, admin_poll_hz, admin_poll_paths)
-            )
         try:
-            start = time.perf_counter()
-            report = await drive_tenants(
+            return await drive_tenants(
                 instance, socket_path, latency_registry=latency_registry,
                 client_trace=client_trace,
             )
-            if timings is not None:
-                timings["drive"] = time.perf_counter() - start
-            return report
         finally:
-            if scraper is not None:
-                scraper.cancel()
-                try:
-                    await scraper
-                except (asyncio.CancelledError, Exception):
-                    pass
-            if plane is not None:
-                await plane.close()
             await server.shutdown()
 
     workdir = tempfile.mkdtemp(prefix="rsv-")

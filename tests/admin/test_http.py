@@ -5,6 +5,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.admin.http import (
     MAX_BODY_BYTES,
@@ -95,6 +97,41 @@ class TestReadRequest:
         with pytest.raises(HttpError) as exc:
             _parse(b"POST / HTTP/1.1\r\nContent-Length: " + huge + b"\r\n\r\n")
         assert exc.value.status == 400
+
+    @pytest.mark.parametrize(
+        "length",
+        [
+            b"1_0", b"+10", b"-0", b"\xb2",
+            pytest.param(b"9" * 5000, id="5000-digits"),
+        ],
+    )
+    def test_content_length_must_be_ascii_digits_in_range(self, length):
+        with pytest.raises(HttpError) as exc:
+            _parse(
+                b"POST / HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n"
+                + b"x" * 16
+            )
+        assert exc.value.status == 400
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=512))
+    @example(b"GET //[ HTTP/1.1\r\n\r\n")
+    @example(b"GET /" + b"a" * (1 << 17) + b" HTTP/1.1\r\n\r\n")
+    @example(b"GET / HTTP/1.1\r\nx-big: " + b"v" * (1 << 17) + b"\r\n\r\n")
+    @example(b"v" * (1 << 17))
+    @example(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort")
+    def test_any_bytes_yield_a_request_or_a_typed_error(self, data):
+        """Whatever a peer sends, the parser answers with a request,
+        ``None`` (clean close), a 400 :class:`HttpError`, or
+        ``IncompleteReadError`` (the peer went away mid-body)."""
+        try:
+            request = _parse(data)
+        except HttpError as exc:
+            assert exc.status == 400
+            return
+        except asyncio.IncompleteReadError:
+            return
+        assert request is None or isinstance(request, HttpRequest)
 
 
 class TestResponses:
@@ -200,6 +237,22 @@ class TestHttpServer:
         status, body = asyncio.run(main())
         assert status == 400
         assert "malformed" in json.loads(body)["error"]
+
+    def test_unparseable_target_gets_400_on_the_wire(self):
+        async def handler(request):  # pragma: no cover - never reached
+            return json_response({})
+
+        async def main():
+            server = HttpServer(handler)
+            port = await server.start_tcp()
+            try:
+                return await _raw_request(port, b"GET //[ HTTP/1.1\r\n\r\n")
+            finally:
+                await server.close()
+
+        status, body = asyncio.run(main())
+        assert status == 400
+        assert "malformed request target" in json.loads(body)["error"]
 
     def test_port_is_none_until_started_and_after_close(self):
         async def handler(request):  # pragma: no cover

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import LeaseSchedule
 from repro.durable.wal import (
@@ -111,12 +113,33 @@ class TestSnapshotAndRecovery:
         assert recovery.records == []
         assert recovery.last_seq == 0
 
-    def test_corrupt_snapshot_raises(self, tmp_path):
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.binary(max_size=256))
+    @example(b"{not json")
+    @example(b'{"version": 1, "seq": 0, "state": {"k": "\xff"}}')
+    @example(b"[1]")
+    @example(b"[" * 200_000)
+    @example(b'{"version": 1}')
+    @example(b'{"version": 1, "seq": "7", "state": {}}')
+    @example(b'{"version": 1, "seq": 3, "state": {}, "applied": null}')
+    def test_corrupt_snapshot_raises(self, tmp_path, content):
+        """Any ``snap.json`` content recovers or raises ``ModelError``:
+        never a decode, attribute, key, value or recursion error."""
         shard = tmp_path / "shard-0"
-        shard.mkdir()
-        (shard / SNAPSHOT_FILE).write_text("{not json")
-        with pytest.raises(ModelError, match="corrupt snapshot"):
-            recover_shard(shard)
+        shard.mkdir(exist_ok=True)
+        (shard / SNAPSHOT_FILE).write_bytes(content)
+        try:
+            recovery = recover_shard(shard)
+        except ModelError as exc:
+            assert "snapshot" in str(exc)
+            return
+        document = json.loads(content)
+        assert recovery.last_seq == document["seq"]
+        assert recovery.state == document["state"]
 
     def test_broker_recovery_through_wal_is_byte_identical(self, tmp_path):
         """End-to-end: snapshot + WAL replay == the broker that never died."""

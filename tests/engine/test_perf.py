@@ -24,31 +24,6 @@ def p02_record():
     return perf.measure("p02_runner", "unit")
 
 
-@pytest.fixture(scope="module")
-def p03_record():
-    return perf.measure("p03_serve", "unit")
-
-
-@pytest.fixture(scope="module")
-def p04_record():
-    return perf.measure("p04_cluster", "unit")
-
-
-@pytest.fixture(scope="module")
-def p05_record():
-    return perf.measure("p05_obs", "unit")
-
-
-@pytest.fixture(scope="module")
-def p06_record():
-    return perf.measure("p06_durable", "unit")
-
-
-@pytest.fixture(scope="module")
-def p09_record():
-    return perf.measure("p09_direct", "unit")
-
-
 class TestMeasure:
     def test_p01_record_shape(self, p01_record):
         assert p01_record["schema"] == perf.SCHEMA
@@ -66,116 +41,6 @@ class TestMeasure:
         assert metrics["verified"] is True
         assert metrics["events"] > 0
         assert metrics["shard_speedup"] > 0
-
-    def test_p03_record_shape(self, p03_record):
-        assert p03_record["bench"] == "p03_serve"
-        metrics = p03_record["metrics"]
-        assert metrics["report_equal"] is True
-        assert metrics["verified"] is True
-        assert metrics["events"] > 0
-        assert metrics["events"] == metrics["requests"]
-        assert metrics["tenants"] == (
-            p03_record["params"]["num_resources"]
-            * p03_record["params"]["tenants_per_resource"]
-        )
-        assert metrics["events_per_sec"] > 0
-
-    def test_p04_record_shape(self, p04_record):
-        assert p04_record["bench"] == "p04_cluster"
-        metrics = p04_record["metrics"]
-        assert metrics["report_equal"] is True
-        assert metrics["verified"] is True
-        assert metrics["events"] > 0
-        assert metrics["events"] == metrics["requests"]
-        assert metrics["workers"] == p04_record["params"]["num_workers"] == 2
-        assert metrics["tenants"] == (
-            p04_record["params"]["num_resources"]
-            * p04_record["params"]["tenants_per_resource"]
-        )
-        assert metrics["events_per_sec"] > 0
-        assert p04_record["params"]["codec"] == "bin"
-
-    def test_p04_matches_p03_structure_exactly(self, p03_record, p04_record):
-        """Same workload, same seed: the cluster must apply exactly the
-        events, buy exactly the leases, and pay exactly the cost the
-        single-process server does — scaling out changes the wall clock,
-        never the books."""
-        for key in ("events", "leases", "tenants", "requests"):
-            assert p04_record["metrics"][key] == p03_record["metrics"][key]
-        assert p04_record["metrics"]["cost"] == p03_record["metrics"]["cost"]
-
-    def test_p05_record_shape(self, p05_record):
-        assert p05_record["bench"] == "p05_obs"
-        metrics = p05_record["metrics"]
-        # Observation must not perturb behaviour: every arm's aggregate
-        # is identical to the bare one, and all match the inline replay.
-        assert metrics["reports_identical"] is True
-        assert metrics["report_equal"] is True
-        assert metrics["verified"] is True
-        assert metrics["events"] > 0
-        for arm in ("off", "on", "traced"):
-            assert metrics[f"{arm}_events_per_sec"] > 0
-        # One span per dispatched request plus the broadcast ticks.
-        assert metrics["trace_spans"] >= metrics["requests"]
-        assert metrics["overhead_ratio"] > 0
-        assert metrics["traced_ratio"] > 0
-
-    def test_p05_matches_p03_structure_exactly(self, p03_record, p05_record):
-        for key in ("events", "leases", "tenants", "requests"):
-            assert p05_record["metrics"][key] == p03_record["metrics"][key]
-        assert p05_record["metrics"]["cost"] == p03_record["metrics"]["cost"]
-
-    def test_p06_record_shape(self, p06_record):
-        assert p06_record["bench"] == "p06_durable"
-        metrics = p06_record["metrics"]
-        # Durability must not perturb behaviour: every arm's aggregate
-        # is identical to the WAL-off one, and all match the replay.
-        assert metrics["reports_identical"] is True
-        assert metrics["report_equal"] is True
-        assert metrics["verified"] is True
-        assert metrics["events"] > 0
-        for arm in ("off", "batch", "always"):
-            assert metrics[f"{arm}_events_per_sec"] > 0
-        assert metrics["batch_ratio"] > 0
-        assert metrics["always_ratio"] > 0
-        # The always arm left a real WAL on disk (log + snapshots).
-        assert metrics["wal_bytes"] > 0
-
-    def test_p06_matches_p03_structure_exactly(self, p03_record, p06_record):
-        for key in ("events", "leases", "tenants", "requests"):
-            assert p06_record["metrics"][key] == p03_record["metrics"][key]
-        assert p06_record["metrics"]["cost"] == p03_record["metrics"]["cost"]
-
-    def test_p09_record_shape(self, p09_record):
-        assert p09_record["bench"] == "p09_direct"
-        metrics = p09_record["metrics"]
-        # The topology moves bytes, never behaviour: both arms equal
-        # the inline replay and each other.
-        assert metrics["reports_identical"] is True
-        assert metrics["report_equal"] is True
-        assert metrics["verified"] is True
-        assert metrics["events"] > 0
-        assert metrics["events"] == metrics["requests"]
-        assert metrics["workers"] == p09_record["params"]["num_workers"] == 2
-        for arm in ("routed", "direct"):
-            assert metrics[f"{arm}_events_per_sec"] > 0
-        assert metrics["direct_ratio"] > 0
-        # Every tenant of the direct arm performed the route handshake.
-        assert metrics["handshakes"] >= metrics["tenants"]
-        assert metrics["retried_ops"] == 0  # nothing died
-
-    def test_p09_matches_p04_structure_exactly(self, p04_record, p09_record):
-        """Same workload, same seed, same fleet shape: both topologies
-        must apply exactly the events and pay exactly the cost the
-        routed cluster bench does."""
-        for key in ("events", "leases", "tenants", "requests"):
-            assert p09_record["metrics"][key] == p04_record["metrics"][key]
-        assert p09_record["metrics"]["cost"] == p04_record["metrics"]["cost"]
-
-    def test_p03_is_deterministic_in_structure(self, p03_record):
-        again = perf.measure("p03_serve", "unit")
-        for key in ("events", "leases", "cost", "tenants"):
-            assert again["metrics"][key] == p03_record["metrics"][key]
 
     def test_p01_is_deterministic_in_structure(self, p01_record):
         again = perf.measure("p01_broker", "unit")
@@ -227,6 +92,15 @@ class TestTrajectoryFiles:
         for mode, entry in committed["modes"].items():
             assert mode in perf.MODES
             assert entry["metrics"]["events"] > 0
+
+    def test_every_committed_file_has_a_measurer(self):
+        on_disk = {
+            path.name
+            for path in (REPO_ROOT / "benchmarks").glob("BENCH_*.json")
+        }
+        named = {Path(name).name for name in perf.BENCH_FILES.values()}
+        assert set(perf.BENCH_FILES) == set(perf.BENCH_NAMES)
+        assert on_disk == named
 
     def test_committed_p01_shows_the_2x_gain(self):
         committed = perf.load_committed(
@@ -280,97 +154,6 @@ class TestCheck:
             p01_record,
         )
         assert failures and "no committed numbers" in failures[0]
-
-    def test_p04_beats_baseline_gated_only_on_multicore(self, p04_record):
-        committed = self._committed(p04_record)
-        # Freeze a baseline the fresh record cannot beat.
-        committed["baseline"] = {
-            "events_per_sec": p04_record["metrics"]["events_per_sec"] * 10
-        }
-        below = copy.deepcopy(p04_record)
-        committed["modes"]["unit"]["env"]["cpus"] = 4
-        below["env"]["cpus"] = 4
-        failures = perf.check(committed, below)
-        assert any("single-process p03 baseline" in f for f in failures)
-        # Same record on a single-core machine: not gated.
-        solo = copy.deepcopy(below)
-        solo["env"]["cpus"] = 1
-        assert not any("baseline" in f for f in perf.check(committed, solo))
-        # And a cluster that does beat the baseline passes on multi-core.
-        committed["baseline"] = {
-            "events_per_sec": max(
-                1, p04_record["metrics"]["events_per_sec"] // 10
-            )
-        }
-        assert not any("baseline" in f for f in perf.check(committed, below))
-
-    def test_p05_overhead_gate_is_machine_independent(self, p05_record):
-        """The metrics-on arm must hold 90% of the bare rate measured in
-        the *same run* — gated on every machine, since it is a ratio of
-        two wall clocks from the same box."""
-        committed = self._committed(p05_record)
-        heavy = copy.deepcopy(p05_record)
-        heavy["metrics"]["off_events_per_sec"] = 10_000
-        heavy["metrics"]["on_events_per_sec"] = 8_500
-        heavy["metrics"]["overhead_ratio"] = round(10_000 / 8_500, 4)
-        # Keep the committed rates close so only the overhead gate fires.
-        committed["modes"]["unit"]["metrics"]["off_events_per_sec"] = 10_000
-        committed["modes"]["unit"]["metrics"]["on_events_per_sec"] = 8_500
-        failures = perf.check(committed, heavy)
-        assert any("instrumented serving dropped" in f for f in failures)
-        # 95% of the bare rate: inside the floor, no failure.
-        fine = copy.deepcopy(heavy)
-        fine["metrics"]["on_events_per_sec"] = 9_500
-        assert not any(
-            "instrumented" in f for f in perf.check(committed, fine)
-        )
-
-    def test_p06_batch_gate_is_machine_independent(self, p06_record):
-        """The batch-fsync arm must hold 80% of the WAL-off rate from
-        the *same run* — a ratio of two wall clocks from the same box,
-        so it gates everywhere."""
-        committed = self._committed(p06_record)
-        heavy = copy.deepcopy(p06_record)
-        heavy["metrics"]["off_events_per_sec"] = 10_000
-        heavy["metrics"]["batch_events_per_sec"] = 7_500
-        heavy["metrics"]["batch_ratio"] = round(10_000 / 7_500, 4)
-        # Keep the committed rates close so only the ratio gate fires.
-        committed["modes"]["unit"]["metrics"]["off_events_per_sec"] = 10_000
-        committed["modes"]["unit"]["metrics"]["batch_events_per_sec"] = 7_500
-        failures = perf.check(committed, heavy)
-        assert any("batch-fsynced serving dropped" in f for f in failures)
-        # 85% of the WAL-off rate: inside the floor, no failure.
-        fine = copy.deepcopy(heavy)
-        fine["metrics"]["batch_events_per_sec"] = 8_500
-        assert not any(
-            "batch-fsynced" in f for f in perf.check(committed, fine)
-        )
-
-    def test_p09_direct_beats_routed_gated_only_on_multicore(
-        self, p09_record
-    ):
-        """The direct data plane must at least match the routed relay
-        from the same run — but only where there are cores to pay with;
-        a 1-cpu box serialises both arms and is not gated."""
-        committed = self._committed(p09_record)
-        committed["modes"]["unit"]["env"]["cpus"] = 4
-        slow = copy.deepcopy(p09_record)
-        slow["env"]["cpus"] = 4
-        slow["metrics"]["direct_ratio"] = 0.9
-        failures = perf.check(committed, slow)
-        assert any("no longer beats the routed relay" in f for f in failures)
-        # Same record on a single-core machine: not gated.
-        solo = copy.deepcopy(slow)
-        solo["env"]["cpus"] = 1
-        assert not any(
-            "routed relay" in f for f in perf.check(committed, solo)
-        )
-        # A ratio at or above 1.0 passes on multi-core.
-        fine = copy.deepcopy(slow)
-        fine["metrics"]["direct_ratio"] = 1.0
-        assert not any(
-            "routed relay" in f for f in perf.check(committed, fine)
-        )
 
     def test_shard_speedup_gated_only_on_multicore(self, p02_record):
         committed = self._committed(p02_record)

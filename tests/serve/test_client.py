@@ -1,8 +1,7 @@
 """Client behaviour: sync calls over a threaded server, pipelining,
 reconnect across a server restart, deadlines and retry budgets as typed
-errors, codec negotiation, and async pool round-robin."""
+errors, and codec negotiation."""
 
-import asyncio
 import contextlib
 import os
 import socket as socketlib
@@ -13,7 +12,6 @@ import pytest
 
 from repro.core import LeaseSchedule
 from repro.serve import (
-    AsyncClientPool,
     LeaseClient,
     LeaseRetryError,
     LeaseServer,
@@ -240,32 +238,6 @@ class TestSyncCodec:
                 second.stop()
         finally:
             client.close()
-
-
-class TestAsyncPool:
-    def test_pool_spreads_calls_round_robin(self, sock_path):
-        async def main():
-            server = _server()
-            await server.start_unix(sock_path)
-            pool = await AsyncClientPool.open_unix(sock_path, size=3)
-            assert len(pool) == 3
-            first, second = pool.client(), pool.client()
-            assert first is not second
-            results = await asyncio.gather(
-                *(
-                    pool.call(
-                        "acquire", tenant=f"t{n}", resource=n % 8, time=0
-                    )
-                    for n in range(9)
-                )
-            )
-            await pool.close()
-            await server.shutdown()
-            return results
-
-        results = asyncio.run(main())
-        assert len(results) == 9
-        assert all("grant" in r for r in results)
 
 
 @contextlib.contextmanager

@@ -11,6 +11,7 @@ import pytest
 from repro.core import LeaseSchedule
 from repro.obs import (
     MetricsRegistry,
+    SamplingProfiler,
     TraceSink,
     parse_exposition,
     validate_exposition,
@@ -154,19 +155,26 @@ class TestDeterminismContract:
         """The property the whole subsystem hangs off: instrumentation
         observes the serving cycle without perturbing it.  The served
         aggregate with metrics + tracing + client latency sampling all
-        on equals both the inline replay and the bare served run."""
+        on, and the sampling profiler running, equals both the inline
+        replay and the bare served run."""
         instance = build_serve_instance(
             workload, 48, seed=seed, num_resources=4, num_shards=2
         )
         bare = run_serve_instance(instance, seed)
         sink = TraceSink(str(tmp_path / f"{workload}.jsonl"))
-        instrumented_report = serve_once(
-            instance,
-            metrics=MetricsRegistry(),
-            trace_sink=sink,
-            latency_registry=MetricsRegistry(),
-        )
+        profiler = SamplingProfiler(hz=1000)
+        profiler.start()
+        try:
+            instrumented_report = serve_once(
+                instance,
+                metrics=MetricsRegistry(),
+                trace_sink=sink,
+                latency_registry=MetricsRegistry(),
+            )
+        finally:
+            profiler.stop()
         sink.close()
+        assert profiler.samples > 0
         instrumented = run_serve_instance(
             instance, seed, report=instrumented_report
         )
