@@ -7,7 +7,8 @@ keep-alive by default (HTTP/1.1 semantics), so a scraper polling
 ``/metrics`` at 4 Hz reuses one socket instead of churning through the
 accept path — but each connection serves at most
 :data:`MAX_REQUESTS_PER_CONNECTION` requests before the server closes
-it, which bounds how long any single peer can pin a connection open.  A
+it, and each request must arrive within :data:`REQUEST_READ_TIMEOUT`,
+which bounds how long any single peer can pin a connection open.  A
 client that sends ``Connection: close``, a parse error, or a cleanly
 closed stream all end the loop early.  Nothing here touches the lease
 wire protocol — the admin plane is a separate listener mounted *beside*
@@ -35,6 +36,11 @@ _MAX_LENGTH_DIGITS = len(str(MAX_BODY_BYTES))
 
 #: Keep-alive bound: a connection serves at most this many requests.
 MAX_REQUESTS_PER_CONNECTION = 32
+
+#: Seconds a connection may take to deliver each request, idle
+#: keep-alive gaps included; a peer that goes quiet is closed instead of
+#: pinning a socket and a task on the serving loop.
+REQUEST_READ_TIMEOUT = 30.0
 
 _REASONS = {
     200: "OK",
@@ -215,7 +221,10 @@ class HttpServer:
         for served in range(MAX_REQUESTS_PER_CONNECTION):
             keep_alive = served + 1 < MAX_REQUESTS_PER_CONNECTION
             try:
-                request = await read_request(reader)
+                # wait_for, not asyncio.timeout: the package supports 3.10.
+                request = await asyncio.wait_for(
+                    read_request(reader), REQUEST_READ_TIMEOUT
+                )
             except HttpError as exc:
                 # After a parse error the stream position is undefined;
                 # answer and drop the connection.
@@ -224,7 +233,10 @@ class HttpServer:
                 response = json_response(
                     {"error": exc.message}, status=exc.status
                 )
-            except (asyncio.IncompleteReadError, ConnectionError):
+            except (
+                asyncio.IncompleteReadError, asyncio.TimeoutError,
+                ConnectionError,
+            ):
                 return
             else:
                 if request is None:

@@ -19,8 +19,7 @@ Subcommands::
     python -m repro engine cluster --socket /tmp/lease.sock --workers 2
     python -m repro engine loadgen --socket /tmp/lease.sock --check
     python -m repro engine loadgen --cluster 2 --check
-    python -m repro engine loadgen --cluster 2 --direct --check
-    python -m repro engine chaos --workers 2 --kills 2 --direct --check
+    python -m repro engine chaos --workers 2 --kills 2 --check
     python -m repro engine metrics --socket /tmp/lease.sock --validate
     python -m repro engine trace-tree spans/*.jsonl --json
     python -m repro engine flamegraph capture.json
@@ -31,12 +30,13 @@ its ``shardable`` and ``cluster`` columns), ``run`` replays scenarios
 through the parallel runner and prints one aggregate ratio table,
 ``replay`` drives the lease broker from a generated or saved JSONL event
 trace, ``serve`` puts a broker behind the asyncio wire protocol,
-``cluster`` spawns N ``engine serve`` worker processes behind a shard
-router on one socket, ``loadgen`` drives closed-loop tenants against
-a server or cluster (in-process by default) and checks the served
-aggregate against an inline replay of the same trace, ``chaos``
-SIGKILLs workers in a WAL'd supervised cluster mid-loadgen and demands
-the post-crash aggregate still equal the inline replay byte for byte,
+``cluster`` spawns N ``engine serve`` worker processes behind a
+control-plane router on one socket, ``loadgen`` drives closed-loop
+tenants against a server or cluster (in-process by default) and checks
+the served aggregate against an inline replay of the same trace,
+``chaos`` SIGKILLs workers in a WAL'd supervised cluster mid-loadgen
+and demands the post-crash aggregate still equal the inline replay
+byte for byte,
 ``metrics`` scrapes a running server or router's Prometheus
 exposition over the ``metrics`` protocol verb, ``trace-tree``
 merges a fleet's span JSONL files and reconstructs one causal tree per
@@ -233,14 +233,13 @@ def cmd_engine_list(args) -> int:
     print_table(
         [
             "scenario", "family", "workload", "paper result",
-            "shardable", "cluster", "direct", "description",
+            "shardable", "cluster", "description",
         ],
         [
             [
                 s.name, s.family, s.workload, s.paper_result,
                 "yes" if s.shardable else "",
                 "yes" if s.cluster_servable else "",
-                "yes" if s.direct_servable else "",
                 s.description,
             ]
             for s in scenarios
@@ -503,13 +502,11 @@ def cmd_engine_cluster(args) -> int:
     ]
 
     async def _main() -> None:
-        from .obs import MetricsRegistry, TraceSink
+        from .obs import MetricsRegistry
 
         router = ClusterRouter(
             spec,
-            worker_window=args.worker_window,
             metrics=MetricsRegistry(enabled=args.metrics),
-            trace=TraceSink(args.trace_jsonl),
             collect_worker_metrics=args.worker_metrics,
             # Durable fleets run supervised: a dead worker respawns with
             # its WAL directory and recovers instead of failing traffic.
@@ -552,24 +549,11 @@ def cmd_engine_cluster(args) -> int:
             f"{durability}, metrics {metrics_stance}{admin_at}",
             flush=True,
         )
-        if args.direct:
-            table = router.route_table()
-            endpoints_line = ", ".join(
-                f"w{row['index']}={row['endpoint']}"
-                for row in table["workers"]
-            )
-            print(
-                f"direct data plane: route handshake at epoch "
-                f"{table['epoch']} over {spec.transport} — "
-                f"{endpoints_line}",
-                flush=True,
-            )
         try:
             await router.run_until_stopped()
         finally:
             if admin is not None:
                 await admin.close()
-            router.trace.close()
 
     try:
         asyncio.run(_main())
@@ -616,7 +600,6 @@ def cmd_engine_chaos(args) -> int:
             shards_per_worker=args.shards_per_worker,
             fsync=args.fsync,
             snapshot_every=args.snapshot_every,
-            topology="direct" if args.direct else "routed",
         )
         schedule = (
             tuple(explicit)
@@ -640,7 +623,6 @@ def cmd_engine_chaos(args) -> int:
         ["metric", "value"],
         [
             ["workers", args.workers],
-            ["topology", "direct" if args.direct else "routed"],
             ["fsync", outcome.fsync],
             ["scheduled kills", _fmt(outcome.scheduled)],
             ["executed kills", _fmt(outcome.executed)],
@@ -875,20 +857,6 @@ def cmd_engine_loadgen(args) -> int:
         serve_once,
     )
 
-    # Fail fast and plainly when --direct has no data plane to use,
-    # mirroring the --shards convention: the in-process single server
-    # has no router to handshake with.
-    if args.direct and not args.cluster and not args.socket:
-        print(
-            "error: --direct needs a cluster data plane, but the "
-            "in-process single server has no router to handshake with "
-            "(see the 'direct' column of `engine list`); "
-            "add --cluster N or point --socket at an `engine cluster` "
-            "router",
-            file=sys.stderr,
-        )
-        return 2
-
     # --check turns on client-side latency sampling so the verdict
     # table can carry per-tenant percentiles alongside the equality
     # judgement.
@@ -916,7 +884,6 @@ def cmd_engine_loadgen(args) -> int:
             num_workers=args.cluster,
             shards_per_worker=args.shards_per_worker,
             codec=args.codec,
-            topology="direct" if args.direct else "routed",
         )
         report = cluster_once(
             cluster_instance,
@@ -938,8 +905,7 @@ def cmd_engine_loadgen(args) -> int:
                         "horizon": args.horizon,
                         "seed": args.seed,
                         "source": (
-                            f"in-process cluster ({args.cluster} workers, "
-                            f"{detail['topology']})"
+                            f"in-process cluster ({args.cluster} workers)"
                         ),
                         "requests": detail["requests"],
                         "events": stats["events"],
@@ -960,7 +926,6 @@ def cmd_engine_loadgen(args) -> int:
                     ["workers", detail["workers"]],
                     ["total shards", detail["total_shards"]],
                     ["codec", detail["codec"]],
-                    ["topology", detail["topology"]],
                     ["requests sent", detail["requests"]],
                     ["events applied", stats["events"]],
                     ["leases bought", len(served.leases)],
@@ -1032,19 +997,10 @@ def cmd_engine_loadgen(args) -> int:
                 ]
                 if mismatches:
                     raise ServeError("protocol", "; ".join(mismatches))
-                if args.direct and not (
-                    (hello.get("cluster") or {}).get("direct")
-                ):
-                    raise ServeError(
-                        "protocol",
-                        f"server at unix:{args.socket} does not offer a "
-                        "direct data plane (no routing handshake in its "
-                        "hello); drop --direct or start `engine cluster`",
-                    )
                 report = await drive_tenants(
                     instance, args.socket, retry_for=args.connect_timeout,
                     codec=args.codec, latency_registry=latency,
-                    client_trace=client_trace, direct=args.direct,
+                    client_trace=client_trace,
                 )
                 if args.shutdown:
                     await client.shutdown()
@@ -1061,7 +1017,7 @@ def cmd_engine_loadgen(args) -> int:
         served = merge_shard_payloads(report["shards"])
         _, equal = compare_with_inline(instance, served, args.seed)
         requests = report["requests"]
-        source = f"unix:{args.socket}" + (" (direct)" if args.direct else "")
+        source = f"unix:{args.socket}"
     else:
         report = serve_once(
             instance, latency_registry=latency, client_trace=client_trace
@@ -1298,12 +1254,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the endpoints the route handshake hands to direct clients",
     )
     engine_cluster.add_argument(
-        "--direct", action="store_true",
-        help="print the direct data plane (route handshake + worker "
-        "endpoints) in the banner; clients opt in per connection with "
-        "`loadgen --direct`",
-    )
-    engine_cluster.add_argument(
         "--port", type=int, default=None, metavar="PORT",
         help="also accept tenants on TCP at this port (0 = ephemeral) "
         "beside the unix socket",
@@ -1325,17 +1275,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="workers keep applied-event logs for the trace op",
     )
     engine_cluster.add_argument(
-        "--worker-window", type=int, default=1024,
-        help="router-side per-worker in-flight op bound (backpressure)",
-    )
-    engine_cluster.add_argument(
         "--codec", default="bin", choices=("json", "bin"),
         help="wire codec on the router->worker links (negotiated at hello)",
     )
     engine_cluster.add_argument("--connect-timeout", type=float, default=15.0)
     engine_cluster.add_argument(
         "--metrics", action=argparse.BooleanOptionalAction, default=True,
-        help="sample per-link relay latency and in-flight gauges on the "
+        help="sample per-link call latency and in-flight gauges on the "
         "router, served back by the 'metrics' protocol verb",
     )
     engine_cluster.add_argument(
@@ -1362,15 +1308,10 @@ def build_parser() -> argparse.ArgumentParser:
         "relabeled worker=\"N\"",
     )
     engine_cluster.add_argument(
-        "--trace-jsonl", default=None, metavar="PATH",
-        help="router relay-span JSONL file: one span per trace-context "
-        "frame relayed to a worker",
-    )
-    engine_cluster.add_argument(
         "--trace-root", default=None, metavar="DIR",
         help="directory for per-worker dispatch-span JSONL files "
-        "(DIR/worker-N.jsonl); merge them with the router and client "
-        "files via engine trace-tree",
+        "(DIR/worker-N.jsonl); merge them with the client's file via "
+        "engine trace-tree",
     )
     engine_cluster.add_argument(
         "--admin-host", default="127.0.0.1",
@@ -1423,13 +1364,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine_chaos.add_argument("--connect-timeout", type=float, default=60.0)
     engine_chaos.add_argument(
-        "--direct", action="store_true",
-        help="drive the kills over the two-plane direct topology: "
-        "tenants handshake with the router and dial workers directly, "
-        "so a kill severs their data links too and recovery exercises "
-        "the client-side re-handshake + marked resend",
-    )
-    engine_chaos.add_argument(
         "--check", action="store_true",
         help="exit 1 unless every kill executed and the post-crash "
         "aggregate equals the inline replay byte for byte",
@@ -1459,7 +1393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     engine_trace_tree = engine_sub.add_parser(
         "trace-tree",
-        help="merge span JSONL files (client + router + workers) and "
+        help="merge span JSONL files (client + server or workers) and "
         "print one causal tree per traced op",
     )
     engine_trace_tree.add_argument(
@@ -1523,14 +1457,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wire codec to negotiate on tenant connections",
     )
     engine_loadgen.add_argument(
-        "--direct", action="store_true",
-        help="two-plane topology: tenants perform the routing handshake "
-        "and send mutations straight to the owning worker, keeping the "
-        "router for ticks and barriers only; needs a cluster "
-        "(--cluster N, or --socket at an `engine cluster` router) — "
-        "exits 2 up front otherwise",
-    )
-    engine_loadgen.add_argument(
         "--check", action="store_true",
         help="exit 1 unless the served aggregate equals the inline replay",
     )
@@ -1547,7 +1473,7 @@ def build_parser() -> argparse.ArgumentParser:
     engine_loadgen.add_argument(
         "--trace-jsonl", default=None, metavar="PATH",
         help="write client-originated trace-context spans (one JSON "
-        "object per op) to PATH; pair with the server/router span "
+        "object per op) to PATH; pair with the server or worker span "
         "files and `engine trace-tree`",
     )
     engine_loadgen.set_defaults(func=cmd_engine_loadgen)

@@ -2,20 +2,22 @@
 
 The scale-out layer the ROADMAP's serving milestone points at: PR 3's
 single-process :class:`~repro.serve.server.LeaseServer` multiplied
-across worker *processes*, fronted by a router that speaks the exact
-single-server wire protocol — so clients, loadgen, and CLI work against
-a cluster unchanged — while the clustered aggregate stays provably
-byte-identical to an inline replay of the merged trace.
+across worker *processes*, fronted by a control-plane router that hands
+clients the fleet's placement (the ``route`` handshake) so they send
+mutations straight to the owning worker — while the clustered
+aggregate stays provably byte-identical to an inline replay of the
+merged trace.
 
 * :mod:`repro.cluster.spec` — :class:`ClusterSpec`: how the resource
   space tiles into global shards and contiguous per-worker shard
   groups (the engine's :func:`~repro.engine.scenarios.shard_ranges`,
   reused verbatim).
-* :mod:`repro.cluster.router` — :class:`ClusterRouter`: consistent
-  resource→shard-group routing, coalesced (``writelines``-batched)
-  worker links speaking the negotiated binary codec, per-worker
-  backpressure windows, and cluster-wide drain/shutdown/stats/report/
-  trace barriers whose merged payloads reproduce a single server's.
+* :mod:`repro.cluster.router` — :class:`ClusterRouter`: the route
+  table and routing epoch, the tick broadcast, coalesced
+  (``writelines``-batched) worker links speaking the negotiated binary
+  codec, supervised respawn, and cluster-wide drain/shutdown/stats/
+  report/trace barriers whose merged payloads reproduce a single
+  server's.
 * :mod:`repro.cluster.procs` — workers as real ``python -m repro engine
   serve`` subprocesses, on unix sockets or pre-allocated loopback TCP
   ports.
@@ -35,7 +37,6 @@ from .liveness import (
     WorkerLiveness,
 )
 from .loadgen import (
-    TOPOLOGIES,
     ClusterInstance,
     build_cluster_instance,
     cluster_once,
@@ -55,14 +56,12 @@ from .spec import (
     TRANSPORTS,
     ClusterSpec,
     format_endpoint,
-    parse_endpoint,
 )
 
 __all__ = [
     "LIVE_DEAD",
     "LIVE_SUSPECT",
     "LIVE_UP",
-    "TOPOLOGIES",
     "TRANSPORTS",
     "ClusterInstance",
     "ClusterRouter",
@@ -74,7 +73,6 @@ __all__ = [
     "format_endpoint",
     "free_tcp_port",
     "make_respawner",
-    "parse_endpoint",
     "reap",
     "run_cluster_instance",
     "spawn_workers",

@@ -2,15 +2,16 @@
 
 The cluster analogue of :mod:`repro.serve.loadgen`, riding the same
 machinery end to end: the canonical trace becomes live traffic through
-:func:`~repro.serve.loadgen.drive_tenants` — unchanged, because the
-router speaks the single-server protocol — and the router's merged
-``report`` payloads fold through
-:func:`~repro.serve.loadgen.merge_shard_payloads` /
-:func:`~repro.engine.scenarios.merge_broker_runs` into one aggregate
+:func:`~repro.serve.loadgen.drive_tenants` — whose tenants, seeing the
+router's ``cluster`` hello, handshake with it and send their mutations
+straight to the owning workers — and the router's merged ``report``
+payloads fold through :func:`~repro.serve.loadgen.merge_shard_payloads`
+/ :func:`~repro.engine.scenarios.merge_broker_runs` into one aggregate
 that must equal the inline replay of the merged trace byte for byte.
 The only new moving parts are real: N ``engine serve`` worker
-*processes* on their own unix sockets, a :class:`ClusterRouter` in
-front, and (by default) the binary codec on every router→worker link.
+*processes* on their own sockets, a :class:`ClusterRouter` in front as
+the control plane, and (by default) the binary codec on every
+connection.
 
 :func:`cluster_once` performs one full cycle — spawn workers, connect
 the router, drive every tenant, fetch the merged report, shut the fleet
@@ -45,12 +46,6 @@ from .procs import make_respawner, reap, spawn_workers
 from .router import ClusterRouter
 from .spec import TRANSPORTS, ClusterSpec
 
-#: How tenants reach the fleet's data plane.  ``routed`` relays every
-#: mutation through the router; ``direct`` performs the routing
-#: handshake and sends mutations straight to the owning worker.
-TOPOLOGIES: tuple[str, ...] = ("routed", "direct")
-
-
 @dataclass(frozen=True)
 class ClusterInstance:
     """A cluster-scenario instance: canonical trace plus fleet shape.
@@ -66,25 +61,18 @@ class ClusterInstance:
     num_workers: int
     shards_per_worker: int
     codec: str = CODEC_BIN
-    worker_window: int = 1024
     record: bool = False
     wal_root: str | None = None
     fsync: str = "batch"
     snapshot_every: int | None = None
     worker_metrics: bool = False
     trace_root: str | None = None
-    topology: str = "routed"
     transport: str = "unix"
 
     def __post_init__(self) -> None:
         if self.codec not in CODECS:
             raise ModelError(
                 f"unknown codec {self.codec!r}; known: {', '.join(CODECS)}"
-            )
-        if self.topology not in TOPOLOGIES:
-            raise ModelError(
-                f"unknown topology {self.topology!r}; "
-                f"known: {', '.join(TOPOLOGIES)}"
             )
         if self.transport not in TRANSPORTS:
             raise ModelError(
@@ -151,7 +139,6 @@ def build_cluster_instance(
     snapshot_every: int | None = None,
     worker_metrics: bool = False,
     trace_root: str | None = None,
-    topology: str = "routed",
     transport: str = "unix",
 ) -> ClusterInstance:
     """A cluster instance over :func:`generate_resource_trace` streams.
@@ -191,7 +178,6 @@ def build_cluster_instance(
         snapshot_every=snapshot_every,
         worker_metrics=worker_metrics,
         trace_root=trace_root,
-        topology=topology,
         transport=transport,
     )
 
@@ -205,7 +191,6 @@ def cluster_once(
     metrics: MetricsRegistry | None = None,
     latency_registry: MetricsRegistry | None = None,
     fault_hook=None,
-    router_trace: TraceSink | None = None,
     client_trace: TraceSink | None = None,
 ) -> dict:
     """One full clustered serving cycle; returns the merged report.
@@ -224,11 +209,10 @@ def cluster_once(
     when given, is called before each simulated day's traffic — the
     chaos harness's kill injection point.
 
-    ``router_trace`` gives the router a span sink (relay spans);
-    ``client_trace`` makes the tenants trace originators.  Pair them
-    with ``instance.trace_root`` (per-worker dispatch-span files) for a
-    fully traced fleet whose merged files reconstruct one causal tree
-    per op through ``engine trace-tree``.
+    ``client_trace`` makes the tenants trace originators.  Pair it with
+    ``instance.trace_root`` (per-worker dispatch-span files) for a fully
+    traced fleet whose merged files reconstruct one causal tree per op
+    through ``engine trace-tree``.
     """
     spec = instance.spec
     workdir = tempfile.mkdtemp(prefix="rcl-")
@@ -244,8 +228,7 @@ def cluster_once(
 
         async def _route_and_drive() -> dict:
             router = ClusterRouter(
-                spec, worker_window=instance.worker_window, metrics=metrics,
-                respawn=respawn, trace=router_trace,
+                spec, metrics=metrics, respawn=respawn,
                 collect_worker_metrics=spec.worker_metrics,
             )
             await router.connect_workers(
@@ -261,7 +244,6 @@ def cluster_once(
                     latency_registry=latency_registry,
                     on_day=on_day,
                     client_trace=client_trace,
-                    direct=instance.topology == "direct",
                 )
                 report["respawns"] = sum(w.respawns for w in workers)
                 return report
@@ -298,7 +280,6 @@ def run_cluster_instance(
         "total_shards": instance.spec.total_shards,
         "codec": instance.codec,
         "transport": instance.transport,
-        "topology": instance.topology,
         "requests": report["requests"],
         "respawns": report.get("respawns", 0),
         "handshakes": report.get("handshakes", 0),

@@ -23,7 +23,8 @@ import sys
 from pathlib import Path
 
 from ..errors import ModelError
-from .spec import ClusterSpec, format_endpoint, parse_endpoint
+from ..serve.client import parse_worker_endpoint
+from .spec import ClusterSpec, format_endpoint
 
 
 def free_tcp_port(host: str = "127.0.0.1") -> int:
@@ -63,7 +64,7 @@ def worker_command(
     so the router can fold the workers' own scrapes into the fleet
     exposition.
     """
-    kind, address = parse_endpoint(str(endpoint))
+    kind, address = parse_worker_endpoint(str(endpoint))
     if kind == "unix":
         listen = ["--socket", address[0]]
     else:
@@ -117,7 +118,7 @@ class WorkerProcess:
     ):
         self.index = index
         self.spec = spec
-        kind, address = parse_endpoint(str(endpoint))
+        kind, address = parse_worker_endpoint(str(endpoint))
         self.endpoint = format_endpoint(kind, *address)
         self.transport = kind
         # The raw socket file for unix workers (None on tcp) — what

@@ -1,31 +1,25 @@
-"""The cluster front end: one router socket over N worker processes.
+"""The cluster control plane: one router socket over N worker processes.
 
-:class:`ClusterRouter` is what tenants dial.  It speaks the exact
-protocol of a single :class:`~repro.serve.server.LeaseServer` — same
-ops, same frames, same ``hello`` shape (plus a ``cluster`` block) — so
-every existing client, the loadgen, and the CLI work against a cluster
-unchanged.  Behind it, mutations route by resource to the worker whose
-shard group owns them; control ops fan out as *barriers* and the results
-merge back into single-server shapes.
+:class:`ClusterRouter` is what tenants dial first.  It answers ``hello``
+with the single-server shape plus a ``cluster`` block, and hands out the
+fleet's placement through the ``route`` handshake: the resource->worker
+map and each worker's data endpoint.  Tenants then send every
+``acquire``/``renew``/``release`` straight to the owning worker (see
+:class:`~repro.serve.client.DirectLeaseClient`); a mutation sent to the
+router itself draws a typed ``protocol`` error naming ``route``.  What
+stays here is the fleet-wide work: the ``tick`` broadcast (the shared
+clock skeleton), the ``stats``/``report``/``trace``/``metrics``/
+``leases``/``spans`` barriers, drain, admin force-release, and
+supervision.
 
-**Routing and ordering.**  Each worker is reached through one
+**Worker links.**  Each worker is reached through one
 :class:`_WorkerLink`: a pipelined connection with its own id space, a
 coalescing writer (every flush drains the whole outgoing queue through
-one ``writelines``) and a reader that relays responses back to the
-owning client connection, ids rewritten.  A client connection's frames
-are routed *synchronously in read order*, so two ops from the same
-tenant to the same worker stay ordered end to end — the same
-serialization the single server's shard queues provide.  ``tick``
-broadcasts to every worker (the shared clock skeleton); the barrier
-reads (``stats`` / ``report`` / ``trace``) ride the same links after any
-already-routed mutations, so they observe everything enqueued before
-them, worker by worker.
-
-**Backpressure propagation.**  Per-worker in-flight is bounded: a
-mutation that would push a link past ``worker_window`` unanswered ops is
-refused immediately with a ``backpressure`` error frame — the cluster
-analogue of the server's per-tenant windows, which the workers still
-enforce behind the router and whose refusals relay through verbatim.
+one ``writelines``) and a reader that resolves the router's calls by id.
+A client connection's requests are answered one at a time, in read
+order; the barrier reads ride the same links after any already-sent
+tick, so they observe everything enqueued before them, worker by
+worker.
 
 **Merge discipline.**  Every worker runs the *global* shard tiling (see
 :class:`~repro.cluster.spec.ClusterSpec`), so its ``report``/``trace``
@@ -42,19 +36,19 @@ every link lives inside a :class:`_WorkerSlot` supervisor.  A worker
 death is detected two ways — the link reader hits EOF the moment the
 process dies (the kernel closes its sockets), and a periodic heartbeat
 ``hello`` catches a process that is alive but hung.  The slot then takes
-ownership of the link's unanswered ops, *holds* every new frame for that
-worker in a bounded queue, and restarts the worker through the callback
-(off the event loop) with jittered exponential backoff between
+ownership of the link's unanswered calls, *holds* every new call for
+that worker in a bounded queue, and restarts the worker through the
+callback (off the event loop) with jittered exponential backoff between
 attempts.  Once the successor is up — having replayed its WAL, when the
-fleet is durable — the slot resends the in-flight ops oldest-first with
-a ``retry`` marker (the worker's applied-log dedup makes the resend
-exactly-once) and then releases the held frames in arrival order, so
-per-connection FIFO order survives the crash end to end.  Tenants
-observe a stall, not an error; only a worker that stays dead past the
-respawn budget fails its traffic with typed ``unavailable`` frames.
+fleet is durable — the slot resends the in-flight calls oldest-first
+(mutations with a ``retry`` marker; the worker's applied-log dedup makes
+the resend exactly-once) and then releases the held calls in arrival
+order.  Callers observe a stall, not an error; only a worker that stays
+dead past the respawn budget fails its calls with typed ``unavailable``.
+The moved routing epoch tells direct clients to re-handshake.
 
 **Drain and shutdown.**  ``drain`` broadcasts to every worker, then
-flips the router, so new acquires are refused at both layers while
+flips the router, so new acquires are refused by the workers while
 renews/releases complete.  ``shutdown`` acks the caller, stops the
 listeners, shuts every worker over its link, fails anything still
 pending as ``unavailable``, and wakes :meth:`run_until_stopped`.
@@ -73,15 +67,12 @@ from ..obs.history import MetricsHistory
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import SamplingProfiler
 from ..obs.promparse import merge_expositions, relabel_exposition
-from ..obs.trace import NULL_TRACE, TraceSink
-from ..obs.tracetree import (
-    build_trace_trees,
-    new_id,
-    trace_tree_payload,
-)
+from ..obs.tracetree import build_trace_trees, trace_tree_payload
+from ..serve.client import parse_worker_endpoint
 from ..serve.protocol import (
     CODEC_BIN,
     CODEC_JSON,
+    MAX_REQUEST_BYTES,
     MUTATION_OPS,
     OPS,
     PROTOCOL_VERSION,
@@ -96,80 +87,17 @@ from ..serve.protocol import (
     request,
     write_frame,
 )
-from ..serve.server import (
-    field_resource,
-    field_tenant,
-    field_time,
-    trace_context,
-)
+from ..serve.server import field_time
 from .liveness import LIVE_SUSPECT, LIVE_UP, WorkerLiveness
-from .spec import ClusterSpec, format_endpoint, parse_endpoint
+from .spec import ClusterSpec, format_endpoint
 
 
 async def _dial(endpoint: str):
     """Open a stream to a worker endpoint, unix or tcp."""
-    kind, address = parse_endpoint(endpoint)
+    kind, address = parse_worker_endpoint(endpoint)
     if kind == "unix":
         return await asyncio.open_unix_connection(address[0])
     return await asyncio.open_connection(address[0], address[1])
-
-
-async def _drain_queue_into(queue: asyncio.Queue, batch: list) -> None:
-    batch.append(await queue.get())
-    while not queue.empty():
-        batch.append(queue.get_nowait())
-
-
-class _ClientConn:
-    """One tenant connection: codec state plus a coalescing out-pump."""
-
-    __slots__ = ("reader", "writer", "codec_ref", "outq", "closed", "pump")
-
-    def __init__(self, reader, writer):
-        self.reader = reader
-        self.writer = writer
-        self.codec_ref = [CODEC_JSON]
-        self.outq: asyncio.Queue = asyncio.Queue()
-        self.closed = False
-        self.pump = asyncio.create_task(self._pump())
-
-    def send(self, payload: dict) -> None:
-        """Queue one response payload; encoded at flush with the conn codec."""
-        if not self.closed:
-            self.outq.put_nowait(payload)
-
-    async def _pump(self) -> None:
-        while True:
-            batch: list[dict] = []
-            await _drain_queue_into(self.outq, batch)
-            codec = self.codec_ref[0]
-            try:
-                self.writer.writelines(
-                    [encode_frame(payload, codec) for payload in batch]
-                )
-                await self.writer.drain()
-            except (ConnectionError, RuntimeError, OSError):
-                pass  # client went away; its responses have nowhere to go
-            finally:
-                for _ in batch:
-                    self.outq.task_done()
-
-    async def close(self) -> None:
-        self.closed = True
-        try:
-            await asyncio.wait_for(self.outq.join(), timeout=5.0)
-        except (asyncio.TimeoutError, Exception):
-            pass
-        self.pump.cancel()
-        try:
-            await self.pump
-        except (asyncio.CancelledError, Exception):
-            pass
-        self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except Exception:
-            pass
 
 
 class _WorkerLink:
@@ -179,7 +107,7 @@ class _WorkerLink:
         "index", "reader", "writer", "codec", "_ids", "_pending", "outq",
         "_pump_task", "_read_task", "_metrics_on", "_clock", "_registry",
         "_latency", "_frames", "_failures", "_on_death", "_on_beat",
-        "_closing", "_trace",
+        "_closing",
     )
 
     def __init__(
@@ -191,7 +119,6 @@ class _WorkerLink:
         metrics: MetricsRegistry | None = None,
         on_death=None,
         on_beat=None,
-        trace: TraceSink | None = None,
     ):
         self.index = index
         self.reader = reader
@@ -199,15 +126,10 @@ class _WorkerLink:
         self.codec = codec
         self._on_beat = on_beat
         self._ids = itertools.count(1)
-        #: link id -> (conn, client id, None, op, payload, t0, span) for
-        #: relays, (None, None, future, op, payload, t0, None) for
-        #: router calls.  The payload rides along so a supervisor can
-        #: resend the op verbatim on a successor link; ``span`` is the
-        #: relay span context (trace id, relay span id, parent span id,
-        #: tenant, resource) when the frame carried one and the router
-        #: traces, else None.
+        #: link id -> (future, op, payload, t0).  The payload rides
+        #: along so a supervisor can resend the call verbatim on a
+        #: successor link.
         self._pending: dict[int, tuple] = {}
-        self._trace = trace if trace is not None else NULL_TRACE
         self._on_death = on_death
         self._closing = False
         self.outq: asyncio.Queue = asyncio.Queue()
@@ -257,7 +179,6 @@ class _WorkerLink:
         metrics: MetricsRegistry | None = None,
         on_death=None,
         on_beat=None,
-        trace: TraceSink | None = None,
     ) -> "_WorkerLink":
         deadline = asyncio.get_running_loop().time() + retry_for
         while True:
@@ -289,7 +210,7 @@ class _WorkerLink:
         chosen = negotiate_codec(hello.get("codec")) if codec == CODEC_BIN else CODEC_JSON
         return cls(
             index, reader, writer, chosen, metrics=metrics,
-            on_death=on_death, on_beat=on_beat, trace=trace,
+            on_death=on_death, on_beat=on_beat,
         )
 
     @staticmethod
@@ -320,47 +241,12 @@ class _WorkerLink:
             )
 
     # ------------------------------------------------------------------
-    # The two send paths: relays and router-originated calls
+    # Calls
     # ------------------------------------------------------------------
     @property
     def inflight(self) -> int:
-        """Unanswered ops on this link — the backpressure signal."""
+        """Unanswered calls on this link."""
         return len(self._pending)
-
-    def forward(self, payload: dict, conn: _ClientConn, client_id) -> None:
-        """Relay a client mutation: rewrite the id, queue the frame.
-
-        When the frame carries a trace context and the router has a
-        sink, the relay re-parents it: a relay span id is minted, the
-        forwarded frame's context names it (so the worker's dispatch
-        span becomes the relay span's child), and the relay span itself
-        — parented to the client's span — is emitted when the worker
-        answers.  The rewrite is stored in pending, so a resend after a
-        worker respawn reuses the same relay span identity.
-        """
-        span = None
-        if self._trace.enabled:
-            context = trace_context(payload)
-            if context is not None:
-                relay_span = new_id()
-                payload = {**payload, "trace": f"{context[0]}-{relay_span}"}
-                span = (
-                    context[0], relay_span, context[1],
-                    payload.get("tenant"), payload.get("resource"),
-                )
-        link_id = next(self._ids)
-        t0 = (
-            self._clock() if self._metrics_on
-            else self._trace.clock() if span is not None
-            else 0.0
-        )
-        self._pending[link_id] = (
-            conn, client_id, None, payload.get("op"), payload, t0, span
-        )
-        self._frames.inc()
-        self.outq.put_nowait(
-            encode_frame({**payload, "id": link_id}, self.codec)
-        )
 
     def call(self, op: str, _future: asyncio.Future | None = None, **fields):
         """A router-originated request; the future resolves to the raw frame.
@@ -376,14 +262,10 @@ class _WorkerLink:
         )
         t0 = self._clock() if self._metrics_on else 0.0
         payload = request(op, link_id, **fields)
-        self._pending[link_id] = (None, None, future, op, payload, t0, None)
+        self._pending[link_id] = (future, op, payload, t0)
         self._frames.inc()
         self.outq.put_nowait(encode_frame(payload, self.codec))
         return future
-
-    async def call_checked(self, op: str, **fields) -> dict:
-        """Call and parse, raising :class:`ServeError` on error frames."""
-        return parse_response(await self.call(op, **fields))
 
     def resend(self, entry: tuple) -> None:
         """Re-issue one taken pending entry on this (successor) link.
@@ -392,14 +274,12 @@ class _WorkerLink:
         applied the op before dying answers from its applied-log dedup
         instead of applying twice; idempotent control reads go verbatim.
         """
-        conn, client_id, future, op, payload, _t0, span = entry
-        if future is not None and future.done():
+        future, op, payload, _t0 = entry
+        if future.done():
             return
         link_id = next(self._ids)
         t0 = self._clock() if self._metrics_on else 0.0
-        self._pending[link_id] = (
-            conn, client_id, future, op, payload, t0, span
-        )
+        self._pending[link_id] = (future, op, payload, t0)
         self._frames.inc()
         body = {**payload, "id": link_id}
         if op in MUTATION_OPS:
@@ -407,7 +287,7 @@ class _WorkerLink:
         self.outq.put_nowait(encode_frame(body, self.codec))
 
     def take_pending(self) -> list[tuple]:
-        """Strip and return the unanswered ops, oldest (lowest id) first."""
+        """Strip and return the unanswered calls, oldest (lowest id) first."""
         pending, self._pending = self._pending, {}
         return [entry for _link_id, entry in sorted(pending.items())]
 
@@ -415,20 +295,18 @@ class _WorkerLink:
     # Pumps
     # ------------------------------------------------------------------
     async def _pump(self) -> None:
-        # Op coalescing: one writelines/drain per wakeup moves every
-        # frame queued since the last flush — under pipelined load the
-        # router amortises its worker-side syscalls across tenants.
+        # Coalescing: one writelines/drain per wakeup moves every frame
+        # queued since the last flush (a tick broadcast, a barrier).
+        outq = self.outq
         while True:
-            batch: list[bytes] = []
-            await _drain_queue_into(self.outq, batch)
+            batch = [await outq.get()]
+            while not outq.empty():
+                batch.append(outq.get_nowait())
             try:
                 self.writer.writelines(batch)
                 await self.writer.drain()
             except (ConnectionError, RuntimeError, OSError):
                 pass  # reader loop will observe the dead link and fail pending
-            finally:
-                for _ in batch:
-                    self.outq.task_done()
 
     async def _read_loop(self) -> None:
         try:
@@ -437,41 +315,21 @@ class _WorkerLink:
                 if payload is None:
                     break
                 if self._on_beat is not None:
-                    # Any frame off the link is proof of life — heartbeat
-                    # replies and relayed responses alike feed liveness.
+                    # Any frame off the link is proof of life —
+                    # heartbeat replies and barrier answers alike.
                     self._on_beat()
                 entry = self._pending.pop(payload.get("id"), None)
                 if entry is None:
                     continue
-                conn, client_id, future, op, _payload, t0, span = entry
+                future, op, _payload, t0 = entry
                 if self._metrics_on:
                     self._latency_hist(op).observe(self._clock() - t0)
-                if span is not None:
-                    trace_id, span_id, parent, tenant, resource = span
-                    self._trace.span(
-                        op=op,
-                        tenant=tenant,
-                        resource=resource,
-                        request_id=client_id,
-                        t_enq=t0,
-                        t_disp=t0,
-                        t_reply=self._trace.clock(),
-                        trace=trace_id,
-                        span_id=span_id,
-                        parent=parent,
-                        kind="relay",
-                    )
-                if future is not None:
-                    if not future.done():
-                        future.set_result(payload)
-                else:
-                    response = dict(payload)
-                    response["id"] = client_id
-                    conn.send(response)
+                if not future.done():
+                    future.set_result(payload)
         finally:
-            # A supervised link hands its unanswered ops to the slot for
-            # resend after respawn; an unsupervised (or closing) one
-            # fails them, the pre-supervision behaviour.
+            # A supervised link hands its unanswered calls to the slot
+            # for resend after respawn; an unsupervised (or closing) one
+            # fails them.
             if self._on_death is not None and not self._closing:
                 self._on_death()
             else:
@@ -481,13 +339,7 @@ class _WorkerLink:
         pending, self._pending = self._pending, {}
         if pending:
             self._failures.inc(len(pending))
-        for conn, client_id, future, _op, _payload, _t0, _span in \
-                pending.values():
-            if future is not None:
-                if not future.done():
-                    future.set_exception(ServeError("unavailable", why))
-            else:
-                conn.send(error(client_id, "unavailable", why))
+        _fail_futures((entry[0] for entry in pending.values()), why)
 
     async def close(self) -> None:
         self._closing = True
@@ -505,18 +357,24 @@ class _WorkerLink:
             pass
 
 
+def _fail_futures(futures, why: str) -> None:
+    for future in futures:
+        if not future.done():
+            future.set_exception(ServeError("unavailable", why))
+
+
 class _WorkerSlot:
     """One worker's seat at the router: a link, supervised or not.
 
     Unsupervised (no ``respawn`` callback) the slot is a pass-through to
-    its link and a dead worker fails its in-flight ops, exactly the
-    pre-supervision contract.  Supervised, the slot owns recovery: on
-    link death it takes the unanswered ops, holds new frames in a
-    bounded queue, restarts the worker through ``respawn`` (in an
-    executor — it forks processes) with jittered exponential backoff,
-    reconnects, resends the taken ops oldest-first with the ``retry``
-    marker, then drains the held frames in arrival order.  Exhausting
-    ``max_respawns`` fails everything with typed ``unavailable``.
+    its link and a dead worker fails its in-flight calls.  Supervised,
+    the slot owns recovery: on link death it takes the unanswered calls,
+    holds new ones in a bounded queue, restarts the worker through
+    ``respawn`` (in an executor — it forks processes) with jittered
+    exponential backoff, reconnects, resends the taken calls
+    oldest-first with the ``retry`` marker, then sends the held calls in
+    arrival order.  Exhausting ``max_respawns`` fails everything with
+    typed ``unavailable``.
     """
 
     __slots__ = (
@@ -524,8 +382,9 @@ class _WorkerSlot:
         "state", "respawn", "hold_limit", "max_respawns", "backoff_base",
         "backoff_cap", "heartbeat_every", "heartbeat_timeout", "_held",
         "_registry", "_recover_task", "_heartbeat_task", "_closing",
-        "_deaths", "_respawns", "_held_counter", "trace",
-        "respawns_done", "redriven_frames", "liveness",
+        "_deaths", "_respawns", "_held_counter", "respawns_done",
+        "redriven_frames", "respawn_failures", "heartbeat_errors",
+        "liveness",
     )
 
     def __init__(
@@ -543,13 +402,12 @@ class _WorkerSlot:
         backoff_cap: float = 2.0,
         heartbeat_every: float = 2.0,
         heartbeat_timeout: float = 10.0,
-        trace: TraceSink | None = None,
         liveness: WorkerLiveness | None = None,
     ):
         self.index = index
         # Normalised endpoint string ("unix:<path>" / "tcp:<host>:<port>"):
         # what the link dials and the route handshake hands to clients.
-        kind, address = parse_endpoint(str(endpoint))
+        kind, address = parse_worker_endpoint(str(endpoint))
         self.path = format_endpoint(kind, *address)
         self.spec = spec
         self.liveness = liveness
@@ -566,15 +424,17 @@ class _WorkerSlot:
         self.heartbeat_timeout = heartbeat_timeout
         self._held: deque = deque()
         self._registry = registry
-        self.trace = trace if trace is not None else NULL_TRACE
         self._recover_task: asyncio.Task | None = None
         self._heartbeat_task: asyncio.Task | None = None
         self._closing = False
         # Plain-int supervision tallies, kept regardless of whether the
         # live registry is enabled: the scrape-time export renders them
-        # as cluster_worker_respawns_total / cluster_redriven_frames_total.
+        # as cluster_worker_respawns_total, cluster_redriven_frames_total,
+        # cluster_respawn_failures_total and cluster_heartbeat_errors_total.
         self.respawns_done = 0
         self.redriven_frames = 0
+        self.respawn_failures = 0
+        self.heartbeat_errors = 0
         self._deaths = registry.counter(
             "cluster_worker_deaths_total",
             help="Times the router found this worker's link dead.",
@@ -599,21 +459,23 @@ class _WorkerSlot:
         if self.liveness is not None:
             self.liveness.beat(self.index)
 
-    async def open(self) -> None:
-        """Dial the worker and, when supervised, start the heartbeat."""
-        self.link = await _WorkerLink.open(
-            self.index, self.path, self.spec, retry_for=self.retry_for,
+    async def _open_link(self, endpoint: str) -> _WorkerLink:
+        return await _WorkerLink.open(
+            self.index, endpoint, self.spec, retry_for=self.retry_for,
             codec=self.codec_pref, metrics=self._registry,
             on_death=self._link_died if self.supervised else None,
             on_beat=self._beat if self.liveness is not None else None,
-            trace=self.trace,
         )
+
+    async def open(self) -> None:
+        """Dial the worker and, when supervised, start the heartbeat."""
+        self.link = await self._open_link(self.path)
         self._beat()
         if self.supervised and self._heartbeat_task is None:
             self._heartbeat_task = asyncio.create_task(self._heartbeat())
 
     # ------------------------------------------------------------------
-    # The link surface the router routes through
+    # The link surface the router calls through
     # ------------------------------------------------------------------
     @property
     def codec(self) -> str:
@@ -625,34 +487,25 @@ class _WorkerSlot:
         link = self.link
         return (link.inflight if link is not None else 0) + len(self._held)
 
-    def forward(self, payload: dict, conn: _ClientConn, client_id) -> None:
-        if self.state == "up":
-            self.link.forward(payload, conn, client_id)
-        elif self.state == "recovering":
-            self._hold(("forward", payload, conn, client_id))
-        else:
-            raise ServeError(
-                "unavailable",
-                f"worker {self.index} is gone (respawn budget exhausted)",
-            )
-
     def call(self, op: str, **fields) -> asyncio.Future:
         if self.state == "up":
             return self.link.call(op, **fields)
         future = asyncio.get_running_loop().create_future()
-        if self.state == "recovering":
-            try:
-                self._hold(("call", op, fields, future))
-            except ServeError as exc:
-                future.set_exception(exc)
+        if self.state == "recovering" and len(self._held) < self.hold_limit:
+            self._held_counter.inc()
+            self._held.append((op, fields, future))
+        elif self.state == "recovering":
+            future.set_exception(ServeError(
+                "backpressure",
+                f"worker {self.index} is recovering with "
+                f"{len(self._held)} frames already held "
+                f"(hold limit {self.hold_limit})",
+            ))
         else:
-            future.set_exception(
-                ServeError(
-                    "unavailable",
-                    f"worker {self.index} is gone "
-                    f"(respawn budget exhausted)",
-                )
-            )
+            future.set_exception(ServeError(
+                "unavailable",
+                f"worker {self.index} is gone (respawn budget exhausted)",
+            ))
         return future
 
     async def call_checked(self, op: str, **fields) -> dict:
@@ -669,17 +522,6 @@ class _WorkerSlot:
         cutting the graceful stop short mid-snapshot.
         """
         self._closing = True
-
-    def _hold(self, item: tuple) -> None:
-        if len(self._held) >= self.hold_limit:
-            raise ServeError(
-                "backpressure",
-                f"worker {self.index} is recovering with "
-                f"{len(self._held)} frames already held "
-                f"(hold limit {self.hold_limit})",
-            )
-        self._held_counter.inc()
-        self._held.append(item)
 
     # ------------------------------------------------------------------
     # Death, recovery, heartbeat
@@ -706,18 +548,11 @@ class _WorkerSlot:
                     path = await loop.run_in_executor(
                         None, self.respawn, self.index
                     )
-                    link = await _WorkerLink.open(
-                        self.index, path, self.spec,
-                        retry_for=self.retry_for, codec=self.codec_pref,
-                        metrics=self._registry, on_death=self._link_died,
-                        on_beat=(
-                            self._beat if self.liveness is not None else None
-                        ),
-                        trace=self.trace,
-                    )
+                    link = await self._open_link(path)
                 except asyncio.CancelledError:
                     raise
                 except Exception:
+                    self.respawn_failures += 1
                     if attempt == self.max_respawns:
                         break
                     await asyncio.sleep(delay * (0.5 + random.random()))
@@ -725,24 +560,19 @@ class _WorkerSlot:
                     continue
                 self._respawns.inc()
                 self.respawns_done += 1
-                kind, address = parse_endpoint(str(path))
+                kind, address = parse_worker_endpoint(str(path))
                 self.path = format_endpoint(kind, *address)
                 self._beat()
                 # No awaits from here to the state flip: resends and the
-                # held drain land in the link queue atomically, keeping
-                # per-connection FIFO order across the crash.
+                # held calls land in the link queue atomically, keeping
+                # their order across the crash.
                 for entry in pending:
                     link.resend(entry)
                 held, self._held = self._held, deque()
                 self.redriven_frames += len(pending) + len(held)
-                for item in held:
-                    if item[0] == "forward":
-                        _, payload, conn, client_id = item
-                        link.forward(payload, conn, client_id)
-                    else:
-                        _, op, fields, future = item
-                        if not future.done():
-                            link.call(op, _future=future, **fields)
+                for op, fields, future in held:
+                    if not future.done():
+                        link.call(op, _future=future, **fields)
                 self.link = link
                 self.state = "up"
                 return
@@ -757,21 +587,14 @@ class _WorkerSlot:
             raise
 
     def _fail_all(self, pending: list, why: str) -> None:
-        for conn, client_id, future, _op, _payload, _t0, _span in pending:
-            if future is not None:
-                if not future.done():
-                    future.set_exception(ServeError("unavailable", why))
-            else:
-                conn.send(error(client_id, "unavailable", why))
         held, self._held = self._held, deque()
-        for item in held:
-            if item[0] == "forward":
-                _, payload, conn, client_id = item
-                conn.send(error(payload.get("id"), "unavailable", why))
-            else:
-                _, _op, _fields, future = item
-                if not future.done():
-                    future.set_exception(ServeError("unavailable", why))
+        _fail_futures(
+            itertools.chain(
+                (entry[0] for entry in pending),
+                (future for _op, _fields, future in held),
+            ),
+            why,
+        )
 
     async def _heartbeat(self) -> None:
         # Read-EOF catches a dead process instantly; the heartbeat is
@@ -790,7 +613,7 @@ class _WorkerSlot:
             except asyncio.TimeoutError:
                 link.writer.close()
             except Exception:
-                pass
+                self.heartbeat_errors += 1
 
     async def close(self) -> None:
         self._closing = True
@@ -807,15 +630,12 @@ class _WorkerSlot:
 
 
 class ClusterRouter:
-    """Route tenant traffic over a fleet of lease-server workers.
+    """The control plane over a fleet of lease-server workers.
 
     Args:
         spec: the cluster topology (resources, workers, shard groups).
-        worker_window: per-worker in-flight op bound; a mutation beyond
-            it is refused with a ``backpressure`` error frame instead of
-            growing the link queue without bound.
         metrics: live instrumentation registry shared by every worker
-            link (relay latency histograms, codec-mix frame counters,
+            link (call latency histograms, codec-mix frame counters,
             link-failure counters); ``None`` disables continuous
             sampling — the ``metrics`` verb still answers with the
             scrape-time export either way.
@@ -824,25 +644,18 @@ class ClusterRouter:
             (see :func:`~repro.cluster.procs.make_respawner`).  Enables
             supervision: worker death is detected (read-EOF plus
             heartbeat), the worker restarted with backoff, in-flight
-            ops resent with the ``retry`` marker, and new frames held
+            calls resent with the ``retry`` marker, and new calls held
             meanwhile.  ``None`` keeps the fail-fast contract: a dead
-            worker fails its in-flight ops as ``unavailable``.
-        hold_limit: bound on frames held per recovering worker; beyond
-            it new mutations draw ``backpressure`` refusals.
+            worker fails its in-flight calls as ``unavailable``.
+        hold_limit: bound on calls held per recovering worker; beyond
+            it new calls draw ``backpressure`` refusals.
         max_respawns: respawn attempts per death before the worker is
-            declared gone and its traffic failed.
+            declared gone and its calls failed.
         respawn_backoff: base of the jittered exponential backoff
             (seconds) between failed respawn attempts.
         heartbeat_every: seconds between supervision heartbeats.
         heartbeat_timeout: unanswered-heartbeat window after which a
             hung worker's link is severed to force recovery.
-        trace: router-side JSONL span sink.  With a sink configured,
-            every relayed mutation carrying a trace context leaves a
-            ``relay`` span here — parented to the client's span, parent
-            of the worker's dispatch span — so a merged fleet trace
-            reconstructs the full client → router → worker tree.
-            ``None`` disables router spans (contexts still relay
-            through to the workers untouched).
         collect_worker_metrics: fold each worker's *own* scrape (its
             ``metrics`` verb, live histograms included) into the
             router's exposition, every sample relabeled with
@@ -854,7 +667,6 @@ class ClusterRouter:
     def __init__(
         self,
         spec: ClusterSpec,
-        worker_window: int = 1024,
         metrics: MetricsRegistry | None = None,
         respawn=None,
         hold_limit: int = 4096,
@@ -862,14 +674,11 @@ class ClusterRouter:
         respawn_backoff: float = 0.1,
         heartbeat_every: float = 2.0,
         heartbeat_timeout: float = 10.0,
-        trace: TraceSink | None = None,
         collect_worker_metrics: bool = False,
         history: MetricsHistory | None = None,
         profiler: SamplingProfiler | None = None,
         liveness: WorkerLiveness | None = None,
     ):
-        if worker_window < 1:
-            raise ModelError("worker_window must be >= 1")
         if hold_limit < 1:
             raise ModelError("hold_limit must be >= 1")
         if max_respawns < 1:
@@ -881,7 +690,6 @@ class ClusterRouter:
             liveness if liveness is not None
             else WorkerLiveness(spec.num_workers)
         )
-        self.worker_window = worker_window
         self.metrics = metrics if metrics is not None else MetricsRegistry(
             enabled=False
         )
@@ -891,7 +699,6 @@ class ClusterRouter:
         self.respawn_backoff = respawn_backoff
         self.heartbeat_every = heartbeat_every
         self.heartbeat_timeout = heartbeat_timeout
-        self.trace = trace if trace is not None else NULL_TRACE
         self.collect_worker_metrics = collect_worker_metrics
         # Same live-debugging surface as a single server: a snapshot
         # ring over the router's registry and an off-until-asked
@@ -907,7 +714,7 @@ class ClusterRouter:
         self._slots: list[_WorkerSlot] = []
         self._state = "serving"
         self._servers: list[asyncio.base_events.Server] = []
-        self._conns: set[_ClientConn] = set()
+        self._conns: set = set()
         self._conn_tasks: set[asyncio.Task] = set()
         self._stopped = asyncio.Event()
         self._shutdown_task: asyncio.Task | None = None
@@ -951,7 +758,6 @@ class ClusterRouter:
                     backoff_base=self.respawn_backoff,
                     heartbeat_every=self.heartbeat_every,
                     heartbeat_timeout=self.heartbeat_timeout,
-                    trace=self.trace,
                     liveness=self.liveness,
                 )
                 await slot.open()
@@ -981,9 +787,9 @@ class ClusterRouter:
         """Start accepting tenants on TCP; returns the bound port.
 
         ``reuse_port=True`` binds with ``SO_REUSEPORT`` so several
-        router replicas can share one port — with the data plane gone
-        direct, the router is a stateless-enough control plane that the
-        kernel can spread handshake/barrier connections across replicas.
+        router replicas can share one port — the router holds no
+        per-tenant state, so the kernel can spread handshake/barrier
+        connections across replicas.
         """
         self._require_links()
         server = await asyncio.start_server(
@@ -1059,11 +865,10 @@ class ClusterRouter:
         lingering = [
             task for task in tuple(self._conn_tasks) if task is not current
         ]
-        for conn in tuple(self._conns):
-            conn.writer.close()
+        for writer in tuple(self._conns):
+            writer.close()
         if lingering:
             await asyncio.gather(*lingering, return_exceptions=True)
-        self.trace.flush()
         self._stopped.set()
 
     async def run_until_stopped(self) -> None:
@@ -1129,73 +934,25 @@ class ClusterRouter:
             "workers": workers,
         }
 
-    def _route_mutation(
-        self, op: str, payload: dict, request_id, conn: _ClientConn
-    ) -> asyncio.Task | None:
+    async def _tick(self, payload: dict) -> dict:
+        """Broadcast one tick to every worker; answer the latest day.
+
+        A traced tick propagates its context verbatim to every worker —
+        the broadcast is fan-out, so the workers' dispatch spans parent
+        to the client span directly.  (A recovering slot holds its tick
+        in the same FIFO as its other calls.)
+        """
         when = field_time(payload)
         if self._state == "stopped":
             raise ServeError("unavailable", "cluster is stopped")
-        if op == "tick":
-            # Enqueue on every link *now*, synchronously — a mutation
-            # read after this tick lands behind it in each link's FIFO,
-            # preserving the single server's read-order serialization.
-            # (A recovering slot holds its tick in the same FIFO.)
-            # Only the response aggregation is deferred to a task.
-            # A traced tick propagates its context verbatim to every
-            # worker — the broadcast is fan-out, not relay, so the
-            # workers' dispatch spans parent to the client span
-            # directly and no relay span is minted.
-            extra = (
-                {"trace": payload["trace"]} if "trace" in payload else {}
-            )
-            futures = [
-                slot.call("tick", time=when, **extra)
+        extra = {"trace": payload["trace"]} if "trace" in payload else {}
+        results = await asyncio.gather(
+            *(
+                slot.call_checked("tick", time=when, **extra)
                 for slot in self._slots
-            ]
-            return asyncio.create_task(
-                self._finish_tick(futures, request_id, conn)
             )
-        if op == "acquire" and self._state != "serving":
-            raise ServeError(
-                "draining", "cluster is draining; new acquires are refused"
-            )
-        field_tenant(payload)
-        resource = field_resource(payload, self.spec.num_resources)
-        slot = self._slots[self.spec.worker_of(resource)]
-        if slot.inflight >= self.worker_window:
-            raise ServeError(
-                "backpressure",
-                f"worker {slot.index} has {slot.inflight} ops in flight "
-                f"(window {self.worker_window})",
-            )
-        slot.forward(payload, conn, request_id)
-        return None
-
-    async def _finish_tick(
-        self, futures: list[asyncio.Future], request_id, conn: _ClientConn
-    ) -> None:
-        try:
-            results = [
-                parse_response(payload)
-                for payload in await asyncio.gather(*futures)
-            ]
-            conn.send(
-                ok(
-                    request_id,
-                    {"applied_time": max(r["applied_time"] for r in results)},
-                )
-            )
-        except ServeError as exc:
-            conn.send(error(request_id, exc.kind, exc.message))
-        except Exception as exc:
-            # A malformed worker response must still answer the client —
-            # a swallowed exception here would strand the tick forever.
-            conn.send(
-                error(
-                    request_id, "unavailable",
-                    f"tick barrier failed: {type(exc).__name__}: {exc}",
-                )
-            )
+        )
+        return {"applied_time": max(r["applied_time"] for r in results)}
 
     async def _broadcast(self, op: str) -> list[dict]:
         return list(
@@ -1204,11 +961,10 @@ class ClusterRouter:
             )
         )
 
-    def _kept_shards(self, results: list[dict]) -> list[dict]:
-        """Each worker's own shard group, by global index, in order."""
-        kept: list[dict] = []
-        for link, result in zip(self._slots, results):
-            lo, hi = self.spec.group(link.index)
+    def _own_shards(self, results: list[dict]):
+        """``(slot, shard)`` for each worker's own group, in global order."""
+        for slot, result in zip(self._slots, results):
+            lo, hi = self.spec.group(slot.index)
             by_index = {
                 shard.get("index"): shard
                 for shard in result.get("shards") or []
@@ -1218,19 +974,33 @@ class ClusterRouter:
                 if shard is None:
                     raise ServeError(
                         "unavailable",
-                        f"worker {link.index} reported no shard {shard_index}",
+                        f"worker {slot.index} reported no shard {shard_index}",
                     )
-                kept.append(shard)
-        return kept
+                yield slot, shard
 
-    async def _control(self, op: str, payload: dict | None = None) -> dict:
+    def _kept_shards(self, results: list[dict]) -> list[dict]:
+        """Each worker's own shard group, by global index, in order."""
+        return [shard for _slot, shard in self._own_shards(results)]
+
+    async def _control(self, op: str, payload: dict) -> dict:
+        if op in MUTATION_OPS and op != "tick":
+            # The data plane is direct: only the owning worker applies
+            # a mutation, and the route handshake says which one it is.
+            raise ServeError(
+                "protocol",
+                f"{op!r} is not served by the cluster router; call "
+                "'route' for the resource->worker table and send it to "
+                "the owning worker",
+            )
+        if op == "tick":
+            return await self._tick(payload)
         if op == "route":
             # The routing handshake and the heartbeat are one verb: a
             # bare call returns the table, a call carrying the client's
             # cached epoch doubles as a staleness check — if supervision
             # replaced a worker since, the typed error tells the client
             # to drop its cached table and re-handshake.
-            known = (payload or {}).get("epoch")
+            known = payload.get("epoch")
             current = self.route_epoch
             if known is not None and int(known) != current:
                 raise ServeError(
@@ -1260,10 +1030,8 @@ class ClusterRouter:
                 ],
                 "shards": self._kept_shards(results),
             }
-        if op == "report":
-            return {"shards": self._kept_shards(await self._broadcast("report"))}
-        if op == "trace":
-            return {"shards": self._kept_shards(await self._broadcast("trace"))}
+        if op in ("report", "trace"):
+            return {"shards": self._kept_shards(await self._broadcast(op))}
         if op == "metrics":
             parts = [
                 self.render_metrics(
@@ -1284,8 +1052,7 @@ class ClusterRouter:
         if op == "leases":
             return {"shards": await self._cluster_leases()}
         if op == "spans":
-            trace_id = (payload or {}).get("trace")
-            return {"spans": await self.federated_spans(trace_id)}
+            return {"spans": await self.federated_spans(payload.get("trace"))}
         if op == "drain":
             await self._broadcast("drain")
             if self._state == "serving":
@@ -1296,7 +1063,9 @@ class ClusterRouter:
             if self._state == "draining":
                 self._state = "serving"
             return {"state": self._state}
-        raise ServeError("protocol", f"unknown op {op!r}")
+        raise ServeError(
+            "protocol", f"unknown op {op!r}; known: {', '.join(OPS)}"
+        )
 
     async def _cluster_leases(self) -> list[dict]:
         """The fleet's lease book: each worker's own shards, ids prefixed.
@@ -1306,31 +1075,16 @@ class ClusterRouter:
         owning process too and force-release can route without a scan.
         """
         results = await self._broadcast("leases")
-        shards: list[dict] = []
-        for slot, result in zip(self._slots, results):
-            lo, hi = self.spec.group(slot.index)
-            by_index = {
-                shard.get("index"): shard
-                for shard in result.get("shards") or []
-            }
-            for shard_index in range(lo, hi):
-                shard = by_index.get(shard_index)
-                if shard is None:
-                    raise ServeError(
-                        "unavailable",
-                        f"worker {slot.index} reported no shard "
-                        f"{shard_index}",
-                    )
-                shard = dict(shard)
-                shard["leases"] = [
-                    dict(
-                        lease,
-                        lease_id=f"{slot.index}:{lease['lease_id']}",
-                    )
+        return [
+            dict(
+                shard,
+                leases=[
+                    dict(lease, lease_id=f"{slot.index}:{lease['lease_id']}")
                     for lease in shard.get("leases") or []
-                ]
-                shards.append(shard)
-        return shards
+                ],
+            )
+            for slot, shard in self._own_shards(results)
+        ]
 
     def render_metrics(
         self, results: list[dict], include_shards: bool = True
@@ -1341,58 +1095,59 @@ class ClusterRouter:
         Each worker's own shard group exports through the same folder a
         single server uses — so broker counters carry identical names
         cluster-wide, just with a ``worker`` label ahead of ``shard`` —
-        plus per-worker link gauges (in-flight ops, window, liveness)
-        and the supervision tallies (respawns performed, frames redriven
-        after a respawn).  The router's live registry (relay latency,
-        codec mix, link failures) is appended when metrics are enabled;
-        family names are disjoint, so the concatenation stays valid.
+        plus per-worker link gauges (in-flight calls, liveness) and the
+        supervision tallies (respawns performed, frames redriven after a
+        respawn, failed respawn attempts, failed heartbeats).  The
+        router's live registry (call latency, codec mix, link failures)
+        is appended when metrics are enabled; family names are
+        disjoint, so the concatenation stays valid.
 
         ``include_shards=False`` skips the shard/session fold — the
         ``metrics`` verb uses it when it appends the workers' own
         relabeled scrapes, which already carry those families.
         """
         registry = MetricsRegistry(clock=self.metrics.clock)
-        for link, result in zip(self._slots, results):
-            worker = str(link.index)
+        for slot, result in zip(self._slots, results):
+            worker = str(slot.index)
             registry.gauge(
                 "cluster_worker_inflight",
                 help="Unanswered ops on the worker link at scrape time.",
                 worker=worker,
-            ).set(link.inflight)
-            registry.gauge(
-                "cluster_worker_window",
-                help="Per-worker in-flight op bound.",
-                worker=worker,
-            ).set(self.worker_window)
+            ).set(slot.inflight)
             registry.gauge(
                 "cluster_worker_up",
                 help="1 when the worker's link is up, 0 while it is "
                 "recovering or gone.",
                 worker=worker,
-            ).set(1.0 if link.state == "up" else 0.0)
+            ).set(1.0 if slot.state == "up" else 0.0)
             registry.gauge(
                 "cluster_worker_liveness",
                 help="Beat-derived liveness: 2 up, 1 suspect, 0 dead.",
                 worker=worker,
             ).set(
                 {LIVE_UP: 2.0, LIVE_SUSPECT: 1.0}.get(
-                    self.liveness.state(link.index), 0.0
+                    self.liveness.state(slot.index), 0.0
                 )
             )
-            registry.counter(
-                "cluster_worker_respawns_total",
-                help="Worker restarts supervision completed successfully.",
-                worker=worker,
-            ).inc(link.respawns_done)
-            registry.counter(
-                "cluster_redriven_frames_total",
-                help="In-flight and held frames redriven onto a "
-                "respawned worker.",
-                worker=worker,
-            ).inc(link.redriven_frames)
+            for name, value, help_text in (
+                ("cluster_worker_respawns_total", slot.respawns_done,
+                 "Worker restarts supervision completed successfully."),
+                ("cluster_redriven_frames_total", slot.redriven_frames,
+                 "In-flight and held frames redriven onto a respawned "
+                 "worker."),
+                ("cluster_respawn_failures_total", slot.respawn_failures,
+                 "Respawn attempts that failed before the worker came "
+                 "back."),
+                ("cluster_heartbeat_errors_total", slot.heartbeat_errors,
+                 "Supervision heartbeats that failed with an error "
+                 "other than a timeout."),
+            ):
+                registry.counter(name, help=help_text, worker=worker).inc(
+                    value
+                )
             if not include_shards:
                 continue
-            lo, hi = self.spec.group(link.index)
+            lo, hi = self.spec.group(slot.index)
             by_index = {
                 shard.get("index"): shard
                 for shard in result.get("shards") or []
@@ -1414,7 +1169,7 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     async def admin_metrics(self) -> str:
         """The ``GET /metrics`` exposition (same text as the wire verb)."""
-        return (await self._control("metrics"))["text"]
+        return (await self._control("metrics", {}))["text"]
 
     def admin_health(self) -> dict:
         """Liveness: router state plus each worker slot's condition."""
@@ -1463,11 +1218,11 @@ class ClusterRouter:
     async def admin_force_release(self, lease_id: str) -> dict | None:
         """Durably force-release one lease anywhere in the fleet.
 
-        The release is injected through the owning worker's slot — the
-        same path client mutations ride — so it is WAL'd by the worker,
-        recorded as a replayable event, and, should the worker die
-        mid-op, resent by supervision with the ``retry`` marker, which
-        the worker's applied-log dedup collapses to exactly-once.
+        The release is a router call on the owning worker's slot, so it
+        is WAL'd by the worker, recorded as a replayable event, and,
+        should the worker die mid-op, resent by supervision with the
+        ``retry`` marker, which the worker's applied-log dedup collapses
+        to exactly-once.
         """
         book = await self.admin_leases()
         lease = next(
@@ -1500,40 +1255,36 @@ class ClusterRouter:
     async def federated_spans(
         self, trace_id: str | None = None
     ) -> list[dict]:
-        """The fleet's live spans: router relays + every worker's sink.
+        """The fleet's live spans: every worker's sink, tagged by worker.
 
         The trace analogue of the ``--worker-metrics`` fold: the router
-        contributes its own :meth:`TraceSink.live_spans` (relay hops),
-        then broadcasts the ``spans`` verb so each worker answers from
-        its live sink — including spans a pre-crash incarnation wrote,
-        since sinks append across respawns — and each worker's spans are
-        tagged ``worker="N"``.  With ``trace_id``, every sink answers
-        from its by-id index when that holds the whole trace, and
-        workers filter at the source, so only the matching spans cross
-        the wire.
+        broadcasts the ``spans`` verb so each worker answers from its
+        live sink — including spans a pre-crash incarnation wrote, since
+        sinks append across respawns — and each worker's spans are
+        tagged ``worker="N"``.  With ``trace_id``, every worker answers
+        from its by-id index when that holds the whole trace and filters
+        at the source, so only the matching spans cross the wire.
         """
         fields = {} if trace_id is None else {"trace": trace_id}
-        spans = self.trace.live_spans(trace_id)
-        worker_answers = await asyncio.gather(
+        answers = await asyncio.gather(
             *(slot.call_checked("spans", **fields) for slot in self._slots)
         )
-        for slot, answer in zip(self._slots, worker_answers):
-            spans.extend(
-                dict(span, worker=str(slot.index))
-                for span in answer.get("spans") or []
-            )
-        return spans
+        return [
+            dict(span, worker=str(slot.index))
+            for slot, answer in zip(self._slots, answers)
+            for span in answer.get("spans") or []
+        ]
 
     async def admin_trace(self, trace_id: str) -> list[dict] | None:
         """The *federated* span tree for one trace id, mid-run.
 
-        Pulls the matching spans live from the router's sink and every
-        worker's (the ``spans`` broadcast), links them into one causal
-        tree, and returns the nested payload — structurally identical to
-        ``engine trace-tree`` over the offline-merged fleet JSONL,
-        because both feed :func:`build_trace_trees`, which dedupes by
-        ``(trace, span_id)`` and orders children by ``(t_enq,
-        span_id)``.  ``None`` when no process holds spans for the id.
+        Pulls the matching spans live from every worker's sink (the
+        ``spans`` broadcast), links them into one causal tree, and
+        returns the nested payload — structurally identical to ``engine
+        trace-tree`` over the offline-merged fleet JSONL, because both
+        feed :func:`build_trace_trees`, which dedupes by ``(trace,
+        span_id)`` and orders children by ``(t_enq, span_id)``.
+        ``None`` when no worker holds spans for the id.
         """
         spans = await self.federated_spans(trace_id)
         trees = build_trace_trees(spans)
@@ -1563,72 +1314,63 @@ class ClusterRouter:
             return self.profiler.snapshot()
 
     async def _handle_connection(self, reader, writer) -> None:
-        conn = _ClientConn(reader, writer)
-        self._conns.add(conn)
+        """Answer one client's control requests, in read order.
+
+        Every request is small, so the reader is capped at
+        :data:`MAX_REQUEST_BYTES` like a single server's: a larger
+        header draws a ``protocol`` error frame and the connection
+        closes.  A body cut off mid-frame is a hang-up.
+        """
+        self._conns.add(writer)
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
-        inflight: set[asyncio.Task] = set()
+        codec = CODEC_JSON
         try:
             while True:
                 try:
-                    payload = await read_frame(reader)
+                    payload = await read_frame(
+                        reader, max_frame=MAX_REQUEST_BYTES
+                    )
                 except ProtocolError as exc:
-                    conn.send(error(None, "protocol", str(exc)))
+                    await write_frame(
+                        writer, error(None, "protocol", str(exc)), codec
+                    )
+                    break
+                except asyncio.IncompleteReadError:
                     break
                 if payload is None:
                     break
                 request_id = payload.get("id")
                 op = payload.get("op")
-                if op in MUTATION_OPS:
-                    # Routed synchronously in read order — ordering to
-                    # each worker is the read order, and refusals
-                    # (validation, draining, backpressure) answer
-                    # immediately.  Only tick spawns a gather task.
-                    try:
-                        tick_task = self._route_mutation(
-                            op, payload, request_id, conn
-                        )
-                    except ServeError as exc:
-                        conn.send(error(request_id, exc.kind, exc.message))
-                        continue
-                    if tick_task is not None:
-                        inflight.add(tick_task)
-                        tick_task.add_done_callback(inflight.discard)
-                    continue
                 if op == "hello":
                     # An explicit `codec` field renegotiates; a bare
                     # hello is introspection and keeps the current codec.
                     if "codec" in payload:
-                        conn.codec_ref[0] = negotiate_codec(
-                            payload.get("codec")
-                        )
-                    result = self._hello()
-                    result["codec"] = conn.codec_ref[0]
-                    conn.send(ok(request_id, result))
-                    continue
-                if op == "shutdown":
-                    conn.send(ok(request_id, {"state": "stopped"}))
+                        codec = negotiate_codec(payload.get("codec"))
+                    response = ok(request_id, {**self._hello(), "codec": codec})
+                elif op == "shutdown":
+                    await write_frame(
+                        writer, ok(request_id, {"state": "stopped"}), codec
+                    )
                     self._shutdown_task = asyncio.create_task(self.shutdown())
                     break
-                if op not in OPS:
-                    conn.send(
-                        error(
-                            request_id,
-                            "protocol",
-                            f"unknown op {op!r}; known: {', '.join(OPS)}",
+                else:
+                    try:
+                        response = ok(
+                            request_id, await self._control(op, payload)
                         )
-                    )
-                    continue
-                try:
-                    result = await self._control(op, payload)
-                    conn.send(ok(request_id, result))
-                except ServeError as exc:
-                    conn.send(error(request_id, exc.kind, exc.message))
+                    except ServeError as exc:
+                        response = error(request_id, exc.kind, exc.message)
+                await write_frame(writer, response, codec)
+        except ConnectionError:
+            pass  # the client went away mid-reply
         finally:
-            if inflight:
-                await asyncio.gather(*inflight, return_exceptions=True)
-            self._conns.discard(conn)
+            self._conns.discard(writer)
             if task is not None:
                 self._conn_tasks.discard(task)
-            await conn.close()
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except Exception:
+                pass

@@ -34,7 +34,11 @@ TRANSPORTS: tuple[str, ...] = ("unix", "tcp")
 
 
 def format_endpoint(kind: str, *address) -> str:
-    """Render a worker endpoint string: ``unix:<path>`` / ``tcp:<host>:<port>``."""
+    """Render a worker endpoint string: ``unix:<path>`` / ``tcp:<host>:<port>``.
+
+    The inverse of :func:`~repro.serve.client.parse_worker_endpoint`,
+    the one endpoint grammar both layers parse with.
+    """
     if kind == "unix":
         (path,) = address
         return f"unix:{path}"
@@ -42,24 +46,6 @@ def format_endpoint(kind: str, *address) -> str:
         host, port = address
         return f"tcp:{host}:{int(port)}"
     raise ModelError(f"unknown endpoint kind {kind!r}; known: {TRANSPORTS}")
-
-
-def parse_endpoint(endpoint: str) -> tuple[str, tuple]:
-    """Split an endpoint string into ``(kind, address)``.
-
-    ``unix:<path>`` parses to ``("unix", (path,))`` and
-    ``tcp:<host>:<port>`` to ``("tcp", (host, port))``.  A bare path
-    (no recognised scheme) is taken as a unix socket so every
-    pre-endpoint caller that passed socket paths keeps working.
-    """
-    if endpoint.startswith("unix:"):
-        return "unix", (endpoint[len("unix:"):],)
-    if endpoint.startswith("tcp:"):
-        host, sep, port = endpoint[len("tcp:"):].rpartition(":")
-        if not sep or not port.isdigit():
-            raise ModelError(f"malformed tcp endpoint {endpoint!r}")
-        return "tcp", (host, int(port))
-    return "unix", (endpoint,)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ WAL'd, supervised fleet, but with a *kill schedule* wired into the
 drive loop: at chosen simulated days, chosen workers take ``SIGKILL``
 mid-traffic.  The router's supervision respawns each victim with its
 WAL directory, the successor recovers a byte-identical broker, the
-in-flight ops resend under the ``retry`` marker, and the drive rides
-through the crash as a stall.
+tenants' direct clients re-handshake and resend their in-flight ops
+under the ``retry`` marker, and the drive rides through the crash as a
+stall.
 
 The verdict is the repository's strongest gate applied under failure:
 the merged clustered report must equal the inline replay of the
@@ -52,7 +53,6 @@ def build_chaos_instance(
     fsync: str = "always",
     snapshot_every: int | None = None,
     tick_every: int = 32,
-    topology: str = "routed",
 ) -> ClusterInstance:
     """A cluster instance shaped for fault injection.
 
@@ -63,8 +63,7 @@ def build_chaos_instance(
     trade that away for throughput and would fail the byte-identity
     gate whenever a kill lands inside an unsynced batch.
 
-    ``topology="direct"`` drives the kills against the two-plane shape:
-    tenants hold direct worker connections, so a kill severs *their*
+    Tenants hold direct worker connections, so a kill severs *their*
     links too, and recovery exercises the client-side stale-route
     re-handshake + marked resend on top of the router's supervision.
     """
@@ -81,7 +80,6 @@ def build_chaos_instance(
         wal_root=wal_root,
         fsync=fsync,
         snapshot_every=snapshot_every,
-        topology=topology,
     )
 
 
@@ -133,7 +131,7 @@ def run_chaos(
     """Drive the instance through its kill schedule and judge the wreck.
 
     Each scheduled ``(day, worker)`` sends ``SIGKILL`` to that worker's
-    process right before the day's tick and bursts hit the router; the
+    process right before the day's tick and bursts hit the fleet; the
     drive then proceeds normally — stalling while supervision respawns
     the victim — and the merged report is compared against the inline
     replay of the canonical trace.

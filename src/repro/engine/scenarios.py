@@ -87,12 +87,6 @@ class Scenario:
             ``cluster-*``), whose resources are independent and whose
             costs sum exactly.  Shown as the ``cluster`` column of
             ``engine list``.
-        direct_servable: the scenario's traffic can ride the two-plane
-            ``direct`` topology — tenants handshake with the router and
-            send mutations straight to the owning worker — true for the
-            ``cluster-*`` lineage (a fleet with a routing handshake to
-            hand out).  Shown as the ``direct`` column of ``engine
-            list`` and gating ``engine loadgen --direct``.
         paper_result: the paper claim the scenario's run/verify loop
             exercises (e.g. ``"Thm 3.3"``); empty for serving-layer
             scenarios whose subject is the system, not the paper.  Shown
@@ -110,7 +104,6 @@ class Scenario:
     build_shard: Callable[[int, int, int], object] | None = None
     merge_runs: Callable[[Sequence[RunResult]], RunResult] | None = None
     cluster_servable: bool = False
-    direct_servable: bool = False
     paper_result: str = ""
 
     @property
@@ -701,7 +694,6 @@ def make_cluster_scenario(
     num_workers: int = 2,
     shards_per_worker: int = 2,
     codec: str = "bin",
-    topology: str = "routed",
 ) -> Scenario:
     """A clustered serving scenario: tenants against a worker fleet.
 
@@ -709,10 +701,9 @@ def make_cluster_scenario(
     arrive at a :class:`~repro.cluster.router.ClusterRouter` fronting
     ``num_workers`` real ``engine serve`` *processes* (each with
     ``shards_per_worker`` broker sub-shards), with the binary codec on
-    the router→worker links by default.  ``topology="direct"`` keeps
-    the router as control plane only: tenants perform the routing
-    handshake and send their mutations straight to the owning worker.
-    The run returns the *clustered* aggregate; verification fails
+    every connection by default.  The router is the control plane only:
+    tenants perform the routing handshake and send their mutations
+    straight to the owning worker.  The run returns the *clustered* aggregate; verification fails
     unless it matched the inline replay of the merged trace exactly
     (see :mod:`repro.cluster.loadgen`).
 
@@ -735,7 +726,6 @@ def make_cluster_scenario(
             num_workers=num_workers,
             shards_per_worker=shards_per_worker,
             codec=codec,
-            topology=topology,
         )
 
     def run(instance, seed: int) -> RunResult:
@@ -749,16 +739,13 @@ def make_cluster_scenario(
         return verify_cluster(instance, result)
 
     tenants = num_resources * tenants_per_resource
-    path = (
-        "direct to" if topology == "direct" else "routed over"
-    )
     return Scenario(
         name=name or f"{CLUSTER_FAMILY}-{workload}",
         family=CLUSTER_FAMILY,
         workload=workload,
         description=(
             f"clustered lease-broker loadgen, {tenants} closed-loop "
-            f"tenants {path} {num_workers} worker processes x "
+            f"tenants direct to {num_workers} worker processes x "
             f"{shards_per_worker} shards, codec={codec}, "
             f"{workload} demand days"
         ),
@@ -767,7 +754,6 @@ def make_cluster_scenario(
         verify=verify,
         optimum=lambda instance: broker_trace_optimum(instance.trace),
         cluster_servable=True,
-        direct_servable=True,
     )
 
 
@@ -797,17 +783,4 @@ SERVE_SCENARIOS: tuple[Scenario, ...] = tuple(
 
 CLUSTER_SCENARIOS: tuple[Scenario, ...] = tuple(
     register(make_cluster_scenario(workload)) for workload in WORKLOAD_NAMES
-)
-
-#: The same fleets served over the two-plane direct topology — the
-#: byte-identity matrix's fourth corner as first-class scenarios.
-CLUSTER_DIRECT_SCENARIOS: tuple[Scenario, ...] = tuple(
-    register(
-        make_cluster_scenario(
-            workload,
-            name=f"{CLUSTER_FAMILY}-direct-{workload}",
-            topology="direct",
-        )
-    )
-    for workload in WORKLOAD_NAMES
 )

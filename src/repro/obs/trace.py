@@ -170,7 +170,7 @@ class TraceSink:
         ``trace`` is the 16-hex trace id shared by every hop of one op,
         ``span_id`` names this hop, ``parent`` names the hop that caused
         it (``None`` at the root), and ``kind`` says which hop this is
-        (``client`` / ``relay`` / ``dispatch``).  They are emitted only
+        (``client`` / ``dispatch``).  They are emitted only
         when a trace context was actually attached, so untraced spans
         keep the exact PR 6 shape.
 

@@ -1,9 +1,10 @@
 """Causal trace trees: merge fleet JSONL spans into one tree per op.
 
 The serve layer threads a trace context through the wire protocol —
-the client mints a trace id per mutation, the router re-parents it on
-relay, the worker's dispatch span inherits it — so one logical op
-leaves spans in up to three different processes' JSONL files.  This
+the client mints a trace id per mutation and the server's (or owning
+worker's) dispatch span inherits it; a cluster router fans a tick's
+context out to every worker — so one logical op leaves spans in
+several processes' JSONL files.  This
 module is the read side: feed it the merged span stream of a whole
 fleet and it reconstructs one causal tree per trace id, linked by the
 ``span_id``/``parent`` fields :class:`~repro.obs.trace.TraceSink`

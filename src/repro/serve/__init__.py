@@ -13,9 +13,9 @@ sharing one Python call stack.
   every frame on that broker in read order, on the one event loop, with
   one WAL commit per read chunk; :class:`ServerThread` hosts its loop
   for sync callers.
-* :mod:`repro.serve.client` — :class:`AsyncLeaseClient` (pipelined),
-  the two-plane :class:`DirectLeaseClient`, and the blocking
-  reconnecting :class:`LeaseClient`.
+* :mod:`repro.serve.client` — :class:`AsyncLeaseClient` (pipelined)
+  and the cluster's :class:`DirectLeaseClient` (route handshake, then
+  mutations straight to the owning worker).
 * :mod:`repro.serve.session` — per-tenant sessions: served counts and
   idle expiry.
 * :mod:`repro.serve.loadgen` — closed-loop tenant workloads over unix
@@ -27,7 +27,6 @@ sharing one Python call stack.
 from .client import (
     AsyncLeaseClient,
     DirectLeaseClient,
-    LeaseClient,
     parse_worker_endpoint,
 )
 from .loadgen import (
@@ -51,7 +50,6 @@ from .protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
     LeaseRetryError,
-    LeaseTimeoutError,
     ProtocolError,
     ServeError,
     encode_frame,
@@ -67,10 +65,8 @@ __all__ = [
     "CODECS",
     "DirectLeaseClient",
     "FrameDecoder",
-    "LeaseClient",
     "LeaseRetryError",
     "LeaseServer",
-    "LeaseTimeoutError",
     "MAX_FRAME_BYTES",
     "MAX_REQUEST_BYTES",
     "OPS",

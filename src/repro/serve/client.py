@@ -1,29 +1,21 @@
-"""Clients for the lease-serving wire protocol: async and sync.
+"""Clients for the lease-serving wire protocol.
 
 :class:`AsyncLeaseClient` is the pipelining client the loadgen tenants
 use: one connection, any number of in-flight requests, responses matched
-back to awaiting callers by request id by a background reader task.
-:class:`DirectLeaseClient` is the two-plane cluster client: it performs
-the routing handshake (the ``route`` verb) against a cluster router,
-then sends mutations straight to the owning worker over per-worker
-links, keeping the router only for ticks, barriers, and staleness
-probes.  :class:`LeaseClient` is the blocking counterpart for
-synchronous callers (scripts, tests, CLIs without an event loop): one
-socket, sequential calls, an explicit :meth:`LeaseClient.pipeline` for
-batched round trips, and optional transparent reconnect — a call that
-hits a dead connection redials (retrying the connect for a bounded
-window) and resends once, which is what lets a client ride through a
-server restart.
+back to awaiting callers by request id by a background reader task; its
+:meth:`~AsyncLeaseClient.call_batch` sends a whole batch in one flush.
+:class:`DirectLeaseClient` is the cluster client: it performs the
+routing handshake (the ``route`` verb) against a cluster router, then
+sends mutations straight to the owning worker over per-worker links,
+keeping the router only for ticks, barriers, and staleness probes.
 
-Both clients raise :class:`~repro.serve.protocol.ServeError` when the
-server answers with an error frame, with the frame's ``kind`` preserved.
-Failure surfaces are typed: a per-op ``deadline`` that expires raises
-:class:`~repro.serve.protocol.LeaseTimeoutError`, and a sync call whose
-redial/resend *retry budget* runs out raises
-:class:`~repro.serve.protocol.LeaseRetryError` naming the attempt count.
-Both clients can negotiate the compact binary codec at connect time
-(``codec="bin"``): the upgrade is confirmed by the server's ``hello``
-response and falls back to JSON against servers that do not speak it.
+Both raise :class:`~repro.serve.protocol.ServeError` when the server
+answers with an error frame, with the frame's ``kind`` preserved; a
+direct client whose worker stays gone past its recovery window raises
+:class:`~repro.serve.protocol.LeaseRetryError`.  Both can negotiate the
+compact binary codec at connect time (``codec="bin"``): the upgrade is
+confirmed by the server's ``hello`` response and falls back to JSON
+against servers that do not speak it.
 """
 
 from __future__ import annotations
@@ -32,12 +24,10 @@ import asyncio
 import bisect
 import itertools
 import random
-import socket
 import time
 from typing import Any, Sequence
 
 from ..errors import ModelError
-from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACE, TraceSink
 from ..obs.tracetree import new_id
 from .protocol import (
@@ -45,15 +35,11 @@ from .protocol import (
     CODEC_JSON,
     MUTATION_OPS,
     LeaseRetryError,
-    LeaseTimeoutError,
-    ProtocolError,
     ServeError,
     encode_frame,
     parse_response,
     read_frame,
-    recv_frame,
     request,
-    send_frame,
     write_frame,
 )
 
@@ -80,9 +66,6 @@ class AsyncLeaseClient:
         #: is enabled AND the server advertised trace support at hello.
         self._trace_sink = trace if trace is not None else NULL_TRACE
         self._peer_trace = False
-        #: Dial attempts the opening factory spent (1 = first try
-        #: connected).
-        self.connect_attempts = 1
         self._reader_task = asyncio.create_task(self._read_loop())
 
     # ------------------------------------------------------------------
@@ -93,11 +76,10 @@ class AsyncLeaseClient:
         cls, path: str, retry_for: float = 5.0, codec: str | None = None,
         trace: TraceSink | None = None,
     ) -> "AsyncLeaseClient":
-        reader, writer, attempts = await _retry_connect(
+        reader, writer = await _retry_connect(
             lambda: asyncio.open_unix_connection(path), retry_for
         )
         client = cls(reader, writer, trace=trace)
-        client.connect_attempts = attempts
         if codec is not None:
             await client.negotiate(codec)
         elif trace is not None and trace.enabled:
@@ -111,11 +93,10 @@ class AsyncLeaseClient:
         cls, host: str, port: int, retry_for: float = 5.0,
         codec: str | None = None, trace: TraceSink | None = None,
     ) -> "AsyncLeaseClient":
-        reader, writer, attempts = await _retry_connect(
+        reader, writer = await _retry_connect(
             lambda: asyncio.open_connection(host, port), retry_for
         )
         client = cls(reader, writer, trace=trace)
-        client.connect_attempts = attempts
         if codec is not None:
             await client.negotiate(codec)
         elif trace is not None and trace.enabled:
@@ -316,10 +297,10 @@ class AsyncLeaseClient:
         return await self.call("shutdown")
 
 
-#: Dial-retry backoff shape shared by both clients: exponential from
-#: ``BASE`` capped at ``CAP``, with full jitter (a uniform factor in
-#: [0.5, 1.5)) so a fleet of tenants redialing one restarting server
-#: spreads out instead of stampeding each backoff tick together.
+#: Dial and recovery backoff shape: exponential from ``BASE`` capped at
+#: ``CAP``, with full jitter (a uniform factor in [0.5, 1.5)) so a fleet
+#: of tenants redialing one restarting server spreads out instead of
+#: stampeding each backoff tick together.
 CONNECT_BACKOFF_BASE = 0.02
 CONNECT_BACKOFF_CAP = 0.5
 
@@ -333,15 +314,12 @@ def _next_backoff(delay: float) -> tuple[float, float]:
 
 
 async def _retry_connect(factory, retry_for: float):
-    """Dial until ``retry_for`` runs out; returns (reader, writer, attempts)."""
+    """Dial until ``retry_for`` runs out; returns (reader, writer)."""
     deadline = time.monotonic() + retry_for
     delay = CONNECT_BACKOFF_BASE
-    attempts = 0
     while True:
-        attempts += 1
         try:
-            reader, writer = await factory()
-            return reader, writer, attempts
+            return await factory()
         except (ConnectionRefusedError, FileNotFoundError, OSError):
             now = time.monotonic()
             if now >= deadline:
@@ -355,10 +333,10 @@ def parse_worker_endpoint(endpoint: str) -> tuple[str, tuple]:
 
     ``unix:<path>`` -> ``("unix", (path,))``, ``tcp:<host>:<port>`` ->
     ``("tcp", (host, port))``; a bare path is taken as a unix socket.
-    Kept local rather than imported from :mod:`repro.cluster.spec` —
-    the serve layer must not import the cluster layer (the cluster is
-    built on top of it), and these few lines are the whole shared
-    grammar.
+    The one endpoint grammar: :mod:`repro.cluster` parses with it too
+    (the cluster is built on top of the serve layer, never the other
+    way round), and :func:`~repro.cluster.spec.format_endpoint` is its
+    inverse.
     """
     if endpoint.startswith("unix:"):
         return "unix", (endpoint[len("unix:"):],)
@@ -371,10 +349,9 @@ def parse_worker_endpoint(endpoint: str) -> tuple[str, tuple]:
 
 
 class DirectLeaseClient:
-    """Two-plane cluster client: control via the router, data direct.
+    """Cluster client: control via the router, data direct to workers.
 
-    The routed data path pays a relay per mutation; this client removes
-    it.  At open it performs the *routing handshake* — a ``route`` call
+    At open it performs the *routing handshake* — a ``route`` call
     on the control connection returning the resource→worker map (derived
     from the cluster spec's shard tiling) plus each worker's endpoint —
     and then sends every ``acquire``/``renew``/``release`` straight to
@@ -649,13 +626,6 @@ class DirectLeaseClient:
     async def report(self) -> dict:
         return await self._control.report()
 
-    @property
-    def connect_attempts(self) -> int:
-        """Dial attempts across the control and all data connections."""
-        return self._control.connect_attempts + sum(
-            link.connect_attempts for link in self._links.values()
-        )
-
     async def close(self) -> None:
         if self._heartbeat_task is not None:
             self._heartbeat_task.cancel()
@@ -667,342 +637,3 @@ class DirectLeaseClient:
             link = self._links.pop(index)
             await link.close()
         await self._control.close()
-
-
-class LeaseClient:
-    """Blocking protocol client with bounded-retry connect and reconnect.
-
-    Args:
-        path: unix-socket path (exclusive with ``host``/``port``).
-        host, port: TCP address (exclusive with ``path``).
-        connect_timeout: seconds to keep retrying the initial dial (and
-            any redial) while the server is not accepting yet.
-        reconnect: when a call hits a dead connection, redial within
-            ``connect_timeout`` and resend the request — the client
-            survives a server restart, losing only the in-flight call's
-            at-most-once guarantee (mutations here are idempotent
-            per-day, so a resend is safe).
-        retry_budget: how many redial-and-resend attempts one logical
-            call may spend after its first try (``reconnect=False``
-            forces 0).  Exhausting the budget raises
-            :class:`~repro.serve.protocol.LeaseRetryError`.
-        deadline: default per-op response deadline in seconds; ``None``
-            waits forever.  An expired deadline raises
-            :class:`~repro.serve.protocol.LeaseTimeoutError` and
-            abandons the connection (a late response would desync the
-            stream), so the next call redials.  Deadlines are never
-            retried — the server may well have applied the op.
-        codec: wire codec to negotiate on every (re)connect; ``"bin"``
-            upgrades only when the server confirms it.
-        metrics: registry for the client-side failure counters
-            (``client_retries_total``, ``client_timeouts_total``,
-            ``client_retry_exhausted_total`` — the client-side mirror of
-            the router's link counters); ``None`` counts nothing.
-    """
-
-    def __init__(
-        self,
-        path: str | None = None,
-        host: str | None = None,
-        port: int | None = None,
-        connect_timeout: float = 5.0,
-        reconnect: bool = True,
-        retry_budget: int = 1,
-        deadline: float | None = None,
-        codec: str | None = None,
-        metrics: MetricsRegistry | None = None,
-    ):
-        if (path is None) == (host is None or port is None):
-            raise ModelError(
-                "LeaseClient needs either a unix path or host+port"
-            )
-        if retry_budget < 0:
-            raise ModelError("retry_budget must be >= 0")
-        registry = metrics if metrics is not None else MetricsRegistry(
-            enabled=False
-        )
-        self._retries_counter = registry.counter(
-            "client_retries_total",
-            help="Redial-and-resend attempts after a dead connection.",
-        )
-        self._timeouts_counter = registry.counter(
-            "client_timeouts_total",
-            help="Calls abandoned because their deadline expired.",
-        )
-        self._exhausted_counter = registry.counter(
-            "client_retry_exhausted_total",
-            help="Logical calls that spent their whole retry budget.",
-        )
-        self._connects_counter = registry.counter(
-            "client_connect_attempts_total",
-            help="Socket dial attempts, including backoff retries.",
-        )
-        #: Running total of dial attempts this client has spent.
-        self.connect_attempts = 0
-        self._path = path
-        self._addr = (host, port) if host is not None else None
-        self._connect_timeout = connect_timeout
-        self._reconnect = reconnect
-        self._retry_budget = retry_budget if reconnect else 0
-        self._deadline = deadline
-        self._codec_wanted = codec
-        self._codec = CODEC_JSON
-        self._ids = itertools.count(1)
-        self._sock: socket.socket | None = None
-
-    # ------------------------------------------------------------------
-    # Connection management
-    # ------------------------------------------------------------------
-    def connect(self) -> "LeaseClient":
-        """Dial the server, retrying refusals until ``connect_timeout``.
-
-        Refusals back off exponentially with jitter (the shared
-        :data:`CONNECT_BACKOFF_BASE` / :data:`CONNECT_BACKOFF_CAP`
-        shape) so a fleet of reconnecting clients does not hammer a
-        server that is still restarting in lockstep.
-        """
-        self.close()
-        deadline = time.monotonic() + self._connect_timeout
-        delay = CONNECT_BACKOFF_BASE
-        while True:
-            self.connect_attempts += 1
-            self._connects_counter.inc()
-            try:
-                if self._path is not None:
-                    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                    sock.connect(self._path)
-                else:
-                    sock = socket.create_connection(self._addr)
-                self._sock = sock
-                break
-            except (ConnectionRefusedError, FileNotFoundError, OSError):
-                now = time.monotonic()
-                if now >= deadline:
-                    raise
-                sleep, delay = _next_backoff(delay)
-                time.sleep(min(sleep, deadline - now))
-        if self._codec_wanted is not None:
-            self._negotiate()
-        return self
-
-    def _negotiate(self) -> None:
-        # Codec state is per-connection, so every (re)dial renegotiates;
-        # the request itself travels as JSON, which any server accepts.
-        self._codec = CODEC_JSON
-        request_id = next(self._ids)
-        send_frame(
-            self._sock, request("hello", request_id, codec=self._codec_wanted)
-        )
-        while True:
-            payload = recv_frame(self._sock)
-            if payload is None:
-                raise ConnectionError("server closed during codec negotiation")
-            if payload.get("id") == request_id:
-                result = parse_response(payload)
-                if result.get("codec") == CODEC_BIN == self._codec_wanted:
-                    self._codec = CODEC_BIN
-                return
-
-    def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
-
-    def __enter__(self) -> "LeaseClient":
-        return self.connect()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Calls
-    # ------------------------------------------------------------------
-    def call(
-        self, op: str, deadline: float | None = None, **fields: Any
-    ) -> dict:
-        """One blocking round trip within the call's retry budget.
-
-        A dead connection is transparently redialed and the request
-        resent until ``retry_budget`` attempts are spent; exhaustion
-        raises :class:`LeaseRetryError` (with ``reconnect=False`` the
-        raw transport error propagates instead, as before).  ``deadline``
-        overrides the client default for this op only.
-        """
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                return self._call_once(op, fields, deadline)
-            except (ConnectionError, BrokenPipeError, ProtocolError, OSError) as exc:
-                if self._retry_budget == 0:
-                    raise
-                if attempts > self._retry_budget:
-                    self._exhausted_counter.inc()
-                    raise LeaseRetryError(
-                        f"{op!r} failed after {attempts} attempts "
-                        f"(retry budget {self._retry_budget}): {exc}",
-                        attempts=attempts,
-                    ) from exc
-                self._retries_counter.inc()
-                try:
-                    self.connect()
-                except OSError as redial_exc:
-                    # The redial window itself ran dry: the budget is
-                    # spent on a server that never came back.
-                    self._exhausted_counter.inc()
-                    raise LeaseRetryError(
-                        f"{op!r} failed after {attempts} attempt(s); "
-                        f"redial gave up: {redial_exc}",
-                        attempts=attempts,
-                    ) from redial_exc
-
-    def _call_once(
-        self, op: str, fields: dict, deadline: float | None
-    ) -> dict:
-        if self._sock is None:
-            self.connect()
-        timeout = deadline if deadline is not None else self._deadline
-        expires = None if timeout is None else time.monotonic() + timeout
-        request_id = next(self._ids)
-        try:
-            self._sock.settimeout(timeout)
-            send_frame(self._sock, request(op, request_id, **fields), self._codec)
-            while True:
-                if expires is not None:
-                    remaining = expires - time.monotonic()
-                    if remaining <= 0:
-                        raise socket.timeout()
-                    self._sock.settimeout(remaining)
-                payload = recv_frame(self._sock)
-                if payload is None:
-                    raise ConnectionError("server closed the connection")
-                if payload.get("id") == request_id:
-                    return parse_response(payload)
-        except socket.timeout as exc:
-            # The response may still arrive later and desync the stream:
-            # abandon the connection so the next call starts clean.  A
-            # timed-out op is never resent — the server may have applied it.
-            self.close()
-            self._timeouts_counter.inc()
-            raise LeaseTimeoutError(
-                f"no response to {op!r} within {timeout}s deadline"
-            ) from exc
-        finally:
-            if self._sock is not None and timeout is not None:
-                self._sock.settimeout(None)
-
-    def pipeline(
-        self, requests: Sequence[tuple[str, dict]],
-        deadline: float | None = None,
-    ) -> list[dict | ServeError]:
-        """Send every request as one batched write, then read responses.
-
-        All request frames are encoded up front and hit the socket in a
-        single ``sendall`` — the sync side's op-coalescing hot path.
-        Returns one entry per request, in request order: the result dict,
-        or the :class:`ServeError` that request drew.  Unlike :meth:`call`
-        this never resends — a batch that dies mid-flight raises — and
-        ``deadline`` (seconds for the *whole batch*) raises
-        :class:`LeaseTimeoutError` and abandons the connection.
-        """
-        if self._sock is None:
-            self.connect()
-        timeout = deadline if deadline is not None else self._deadline
-        expires = None if timeout is None else time.monotonic() + timeout
-        ids = []
-        frames = []
-        for op, fields in requests:
-            request_id = next(self._ids)
-            ids.append(request_id)
-            frames.append(
-                encode_frame(request(op, request_id, **fields), self._codec)
-            )
-        by_id: dict[int, dict | ServeError] = {}
-        wanted = set(ids)
-        try:
-            self._sock.settimeout(timeout)
-            self._sock.sendall(b"".join(frames))
-            while wanted:
-                if expires is not None:
-                    remaining = expires - time.monotonic()
-                    if remaining <= 0:
-                        raise socket.timeout()
-                    self._sock.settimeout(remaining)
-                payload = recv_frame(self._sock)
-                if payload is None:
-                    raise ConnectionError("server closed mid-pipeline")
-                request_id = payload.get("id")
-                if request_id not in wanted:
-                    continue
-                wanted.discard(request_id)
-                try:
-                    by_id[request_id] = parse_response(payload)
-                except ServeError as exc:
-                    by_id[request_id] = exc
-        except socket.timeout as exc:
-            self.close()
-            self._timeouts_counter.inc()
-            raise LeaseTimeoutError(
-                f"pipeline of {len(ids)} requests incomplete after "
-                f"{timeout}s deadline ({len(wanted)} unanswered)"
-            ) from exc
-        finally:
-            if self._sock is not None and timeout is not None:
-                self._sock.settimeout(None)
-        return [by_id[request_id] for request_id in ids]
-
-    @property
-    def codec(self) -> str:
-        """The codec this client currently emits (receives are always dual)."""
-        return self._codec
-
-    # Convenience wrappers mirroring the async client.
-    def hello(self, deadline: float | None = None) -> dict:
-        return self.call("hello", deadline=deadline)
-
-    def acquire(
-        self, tenant: str, resource: int, time: int,
-        deadline: float | None = None,
-    ) -> dict:
-        return self.call(
-            "acquire", deadline=deadline,
-            tenant=tenant, resource=resource, time=time,
-        )
-
-    def renew(
-        self, tenant: str, resource: int, time: int,
-        deadline: float | None = None,
-    ) -> dict:
-        return self.call(
-            "renew", deadline=deadline,
-            tenant=tenant, resource=resource, time=time,
-        )
-
-    def release(
-        self, tenant: str, resource: int, time: int,
-        deadline: float | None = None,
-    ) -> dict:
-        return self.call(
-            "release", deadline=deadline,
-            tenant=tenant, resource=resource, time=time,
-        )
-
-    def tick(self, time: int, deadline: float | None = None) -> dict:
-        return self.call("tick", deadline=deadline, time=time)
-
-    def stats(self) -> dict:
-        return self.call("stats")
-
-    def report(self) -> dict:
-        return self.call("report")
-
-    def trace(self) -> dict:
-        return self.call("trace")
-
-    def drain(self) -> dict:
-        return self.call("drain")
-
-    def shutdown(self) -> dict:
-        return self.call("shutdown")

@@ -200,7 +200,6 @@ async def drive_tenants(
     latency_registry: MetricsRegistry | None = None,
     on_day=None,
     client_trace: TraceSink | None = None,
-    direct: bool = False,
 ) -> dict:
     """Drive a server at ``socket_path`` with the instance's tenants.
 
@@ -212,20 +211,20 @@ async def drive_tenants(
     ``instance`` only needs ``.tenants`` and ``.trace.events``, so the
     cluster loadgen drives through here too.
 
-    ``direct=True`` drives a *cluster router* over direct data paths:
-    each tenant is a :class:`~repro.serve.client.DirectLeaseClient` that
-    handshakes with the router once (the ``route`` verb) and then sends
-    its mutations straight to the owning worker, so the router only sees
-    the ticks, the final ``report`` barrier and the handshakes.  The
-    determinism argument is unchanged: the day's tick is awaited on the
-    control connection before any tenant fires, and the tick barrier
-    completes on every worker before it answers.  A worker killed
-    mid-drive surfaces as a dead link; the tenant's client re-handshakes
-    until supervision brings the worker back and resends the op
-    retry-marked, which the recovered worker's applied-identity dedup
-    makes exactly-once.  The report then also carries ``handshakes``
-    (route calls across all tenants) and ``retried_ops`` (mutations
-    resent after a worker death).
+    Against a *cluster router* (its ``hello`` carries a ``cluster``
+    block) each tenant is a :class:`~repro.serve.client.DirectLeaseClient`
+    that handshakes with the router once (the ``route`` verb) and then
+    sends its mutations straight to the owning worker, so the router
+    only sees the ticks, the final ``report`` barrier and the
+    handshakes.  The determinism argument is unchanged: the day's tick
+    is awaited on the control connection before any tenant fires, and
+    the tick barrier completes on every worker before it answers.  A
+    worker killed mid-drive surfaces as a dead link; the tenant's client
+    re-handshakes until supervision brings the worker back and resends
+    the op retry-marked, which the recovered worker's applied-identity
+    dedup makes exactly-once.  The report then also carries
+    ``handshakes`` (route calls across all tenants) and ``retried_ops``
+    (mutations resent after a worker death).
 
     ``latency_registry``, when given and enabled, receives one
     :data:`LOADGEN_LATENCY_METRIC` histogram series per tenant with
@@ -240,13 +239,14 @@ async def drive_tenants(
     ``client_trace``, when given and enabled, makes every connection a
     trace originator: each mutation is sent with a fresh trace context
     (and leaves a ``client`` span in the sink), which the server — or
-    the router and its workers — link their own spans to.  Span files
+    the cluster's workers — link their own spans to.  Span files
     from all sides merge into causal trees via ``engine trace-tree``.
     """
     control = await AsyncLeaseClient.open_unix(
         socket_path, retry_for=retry_for, codec=codec, trace=client_trace
     )
-    tenant_client = DirectLeaseClient if direct else AsyncLeaseClient
+    cluster = "cluster" in await control.hello()
+    tenant_client = DirectLeaseClient if cluster else AsyncLeaseClient
     clients = {
         tenant: await tenant_client.open_unix(
             socket_path, retry_for=retry_for, codec=codec, trace=client_trace
@@ -296,7 +296,7 @@ async def drive_tenants(
         if client_trace is not None:
             client_trace.flush()
     report["requests"] = requests
-    if direct:
+    if cluster:
         report["handshakes"] = sum(
             client.handshakes for client in clients.values()
         )

@@ -61,19 +61,18 @@ unchanged.
 
 Error *kinds* partition who misbehaved: ``protocol`` (malformed frame or
 request), ``model`` (the broker rejected the operation), ``draining``
-(acquire after drain), ``backpressure`` (a cluster router's per-worker
-in-flight bound is full), ``unavailable`` (trace requested without
+(acquire after drain), ``backpressure`` (a recovering cluster worker's
+queue of held router calls is full), ``unavailable`` (trace requested without
 recording, server stopped, or a WAL commit failed).
 
-Everything here is transport-agnostic pure bytes plus thin asyncio and
-blocking-socket adapters, so the async server, the async client, and the
-sync client all speak through one encoder.
+Everything here is transport-agnostic pure bytes plus thin asyncio
+adapters, so the server, the router and the clients all speak through
+one encoder.
 """
 
 from __future__ import annotations
 
 import json
-import socket
 import struct
 from typing import Any
 
@@ -186,20 +185,11 @@ def parse_trace(value: object) -> tuple[int, int] | None:
     return trace_id, span_id
 
 
-class LeaseTimeoutError(ModelError):
-    """A client-side per-op deadline expired before the response arrived.
-
-    Raised by the sync :class:`~repro.serve.client.LeaseClient` when a
-    call's ``deadline`` elapses.  The connection is abandoned (the late
-    response would desynchronise the stream), so the next call redials.
-    """
-
-
 class LeaseRetryError(ModelError):
-    """A client exhausted its retry budget for one logical call.
+    """A client gave up on one logical call after its recovery window.
 
-    Wraps the final transport failure after every transparent
-    redial-and-resend attempt the budget allowed; ``attempts`` counts
+    Raised by :class:`~repro.serve.client.DirectLeaseClient` when the
+    owning worker stays gone past ``recover_for``; ``attempts`` counts
     how many times the request hit the wire.
     """
 
@@ -571,12 +561,18 @@ class FrameDecoder:
 # ----------------------------------------------------------------------
 # asyncio stream adapters
 # ----------------------------------------------------------------------
-async def read_frame(reader, bytes_counter=None) -> dict | None:
+async def read_frame(
+    reader, bytes_counter=None, max_frame: int = MAX_FRAME_BYTES
+) -> dict | None:
     """Read one frame from an asyncio stream; ``None`` on clean EOF.
 
     ``bytes_counter``, when given, receives ``.inc(n)`` with the frame's
     full wire size (header included) — the serve layer's bytes-in
     instrumentation hook, ``None`` (no call at all) when disabled.
+    ``max_frame`` caps the payload as in :class:`FrameDecoder`: a header
+    announcing more raises :class:`ProtocolError` before any of the body
+    is read.  A body cut off by EOF raises
+    :class:`asyncio.IncompleteReadError`.
     """
     try:
         # IncompleteReadError subclasses EOFError, so a half-frame EOF
@@ -585,7 +581,7 @@ async def read_frame(reader, bytes_counter=None) -> dict | None:
     except (EOFError, ConnectionError, OSError):
         return None
     (word,) = HEADER.unpack(header)
-    length, binary = _split_header(word)
+    length, binary = _split_header(word, max_frame)
     body = await reader.readexactly(length)
     if bytes_counter is not None:
         bytes_counter.inc(HEADER.size + length)
@@ -604,37 +600,6 @@ async def write_frame(
         bytes_counter.inc(len(frame))
     writer.write(frame)
     await writer.drain()
-
-
-# ----------------------------------------------------------------------
-# Blocking-socket adapters (the sync client)
-# ----------------------------------------------------------------------
-def send_frame(sock: socket.socket, payload: dict, codec: str = CODEC_JSON) -> None:
-    """Send one frame over a blocking socket."""
-    sock.sendall(encode_frame(payload, codec))
-
-
-def recv_frame(sock: socket.socket) -> dict | None:
-    """Receive one frame from a blocking socket; ``None`` on clean EOF."""
-    header = _recv_exact(sock, HEADER.size)
-    if header is None:
-        return None
-    (word,) = HEADER.unpack(header)
-    length, binary = _split_header(word)
-    body = _recv_exact(sock, length)
-    if body is None:
-        raise ProtocolError("connection closed mid-frame")
-    return _decode(body, binary)
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
-    chunks = bytearray()
-    while len(chunks) < count:
-        chunk = sock.recv(count - len(chunks))
-        if not chunk:
-            return None
-        chunks.extend(chunk)
-    return bytes(chunks)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ needs.  The loop yields every :data:`YIELD_EVERY` frames, so a long
 pipelined burst on one connection cannot hold the loop against admin
 reads and other tenants.  One event loop
 owns the whole server; :class:`ServerThread` wraps that loop in a
-daemon thread for synchronous callers (the sync client, CLI tests),
+daemon thread for synchronous callers (tests, embedding scripts),
 which talk to it only over sockets.
 
 **Group commit.**  A read chunk's replies leave together.  After its
@@ -133,6 +133,17 @@ YIELD_EVERY = 8
 #: span for each shard the op ran on.
 _EVERY_SHARD_OPS = frozenset(
     {"tick", "stats", "report", "trace", "leases", "metrics"}
+)
+
+
+#: What restoring a snapshot's broker state (or applied log) raises when
+#: a loader-accepted ``snap.json`` holds the wrong values: a missing
+#: key, a wrong type, an unparseable or non-finite number, a bad lease
+#: type index.  :meth:`LeaseServer._recover` reports each as a
+#: ``corrupt snapshot`` :class:`ModelError`.
+_SNAPSHOT_CONTENT_ERRORS = (
+    AttributeError, IndexError, KeyError, ModelError, OverflowError,
+    TypeError, ValueError,
 )
 
 
@@ -254,8 +265,7 @@ def _grant_payload(grant) -> dict:
 def trace_context(payload: dict) -> tuple[str, str] | None:
     """``(trace_id, parent_span_id)`` hex words from an envelope, if any.
 
-    Shared by the server and the cluster router.  Malformed contexts
-    decode to ``None`` — tracing is observation and must never fail the
+    Malformed contexts decode to ``None`` — tracing is observation and must never fail the
     op that carried it.
     """
     raw = payload.get("trace")
@@ -452,7 +462,7 @@ class LeaseServer:
         retry-dedup key set are rebuilt alongside so the ``trace`` op
         and exactly-once retries survive the restart too.
         """
-        from ..durable.wal import ShardWal, recover_shard
+        from ..durable.wal import SNAPSHOT_FILE, ShardWal, recover_shard
 
         self._recovered = True
         recovered_total = 0
@@ -468,13 +478,22 @@ class LeaseServer:
             started = _time.perf_counter()
             directory = self._wal_dir / f"shard-{shard.index}"
             recovery = recover_shard(directory)
-            if recovery.state is not None:
-                shard.broker.restore_state(recovery.state)
-            if shard.applied is not None and recovery.applied is not None:
-                shard.applied.extend(
-                    event_from_payload(payload)
-                    for payload in recovery.applied
-                )
+            try:
+                if recovery.state is not None:
+                    shard.broker.restore_state(recovery.state)
+                if shard.applied is not None and recovery.applied is not None:
+                    shard.applied.extend(
+                        event_from_payload(payload)
+                        for payload in recovery.applied
+                    )
+            except _SNAPSHOT_CONTENT_ERRORS as exc:
+                # The loader checks the document's shape, not the broker
+                # state inside it: whatever that holds must restore or
+                # fail typed, naming the file.
+                raise ModelError(
+                    f"corrupt snapshot {directory / SNAPSHOT_FILE}: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
             broker = shard.broker
             for record in recovery.records:
                 kind, when = record["op"], record["time"]

@@ -363,3 +363,37 @@ class TestKeepAlive:
         assert connection == "close"
         assert "malformed" in body["error"]
         assert trailing == b""
+
+    def test_idle_peer_is_closed_and_its_task_ends(self, monkeypatch):
+        """A peer that sends half a request line and stops is closed
+        once the read deadline passes, and its serving task ends."""
+        import repro.admin.http as http
+
+        monkeypatch.setattr(http, "REQUEST_READ_TIMEOUT", 0.2)
+
+        def serving_tasks():
+            return [
+                task for task in asyncio.all_tasks()
+                if task.get_coro().__qualname__
+                == "HttpServer._serve_connection"
+            ]
+
+        async def main(reader, writer):
+            writer.write(b"GET /metr")
+            await writer.drain()
+            for _ in range(100):
+                if serving_tasks():
+                    break
+                await asyncio.sleep(0.001)
+            during = len(serving_tasks())
+            trailing = await asyncio.wait_for(reader.read(-1), timeout=5.0)
+            for _ in range(100):
+                if not serving_tasks():
+                    break
+                await asyncio.sleep(0.01)
+            return during, trailing, len(serving_tasks())
+
+        during, trailing, after = self._run(main)
+        assert during == 1
+        assert trailing == b""
+        assert after == 0

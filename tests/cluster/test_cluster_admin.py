@@ -1,7 +1,7 @@
 """The ops plane on the router: fleet health, lease book, durable
 force-release (including through SIGKILL + respawn), supervision
 counters, worker-scrape folding, and end-to-end trace reconstruction
-across client -> router -> worker processes."""
+across client -> worker processes."""
 
 import asyncio
 import json
@@ -31,6 +31,7 @@ from repro.obs import (
 )
 from repro.serve import (
     AsyncLeaseClient,
+    DirectLeaseClient,
     LeaseServer,
     merge_shard_payloads,
     replay_applied,
@@ -59,8 +60,11 @@ async def _http(port: int, method: str, target: str):
     return int(head.split(b" ", 2)[1]), body
 
 
-async def _start_workers(spec: ClusterSpec, workdir: Path, metrics=False):
-    """Real in-process LeaseServers, optionally with live registries."""
+async def _start_workers(
+    spec: ClusterSpec, workdir: Path, metrics=False, trace_dir=None
+):
+    """Real in-process LeaseServers, optionally with live registries
+    and span sinks."""
     servers, paths = [], []
     for index in range(spec.num_workers):
         server = LeaseServer(
@@ -69,6 +73,10 @@ async def _start_workers(spec: ClusterSpec, workdir: Path, metrics=False):
             num_shards=spec.total_shards,
             record=spec.record,
             metrics=MetricsRegistry() if metrics else None,
+            trace=(
+                None if trace_dir is None
+                else TraceSink(trace_dir / f"worker-{index}.jsonl")
+            ),
         )
         path = str(workdir / f"w{index}.sock")
         await server.start_unix(path)
@@ -127,9 +135,10 @@ class TestRouterAdminPlane:
             router, plane = await _mounted_router(spec, paths)
             router_sock = str(workdir / "router.sock")
             await router.start_unix(router_sock)
+            tenant = await DirectLeaseClient.open_unix(router_sock)
             client = await AsyncLeaseClient.open_unix(router_sock)
-            await client.acquire("t-0", 0, 0)
-            await client.acquire("t-1", 7, 0)
+            await tenant.acquire("t-0", 0, 0)
+            await tenant.acquire("t-1", 7, 0)
             out = {}
             out["book"] = await _http(plane.port, "GET", "/leases")
             target = json.loads(out["book"][1])["leases"][-1]
@@ -144,6 +153,7 @@ class TestRouterAdminPlane:
             out["after"] = await _http(plane.port, "GET", "/leases")
             out["report"] = await client.report()
             out["trace"] = await client.trace()
+            await tenant.close()
             await client.close()
             await plane.close()
             await router.shutdown()
@@ -169,21 +179,18 @@ class TestRouterAdminPlane:
         assert served.cost == replayed.cost
         assert tuple(served.leases) == tuple(replayed.leases)
 
-    def test_trace_endpoint_serves_relay_spans(self, workdir, tmp_path):
+    def test_trace_endpoint_serves_worker_spans(self, workdir, tmp_path):
         spec = ClusterSpec(8, 2, 2)
 
         async def main():
-            _, paths = await _start_workers(spec, workdir)
-            router, plane = await _mounted_router(
-                spec, paths, trace=TraceSink(tmp_path / "router.jsonl")
-            )
+            _, paths = await _start_workers(spec, workdir, trace_dir=tmp_path)
+            router, plane = await _mounted_router(spec, paths)
             router_sock = str(workdir / "router.sock")
             await router.start_unix(router_sock)
-            client = await AsyncLeaseClient.open_unix(
-                router_sock, trace=TraceSink(tmp_path / "client.jsonl")
-            )
+            sink = TraceSink(tmp_path / "client.jsonl")
+            client = await DirectLeaseClient.open_unix(router_sock, trace=sink)
             await client.acquire("t-0", 3, 0)
-            client._trace_sink.flush()
+            sink.flush()
             spans = load_spans([tmp_path / "client.jsonl"])
             found = await _http(
                 plane.port, "GET", f"/trace/{spans[-1]['trace']}"
@@ -196,7 +203,11 @@ class TestRouterAdminPlane:
 
         found, missing = asyncio.run(main())
         assert found[0] == 200
-        assert json.loads(found[1])["roots"][0]["kind"] == "relay"
+        (root,) = json.loads(found[1])["roots"]
+        # The client's span lives in the client's file, so the worker's
+        # dispatch span roots the fleet's view of the trace.
+        assert root["kind"] == "dispatch"
+        assert root["worker"] == "0"
         assert missing[0] == 404
 
 
@@ -216,10 +227,10 @@ class TestRouterLiveDebugging:
             router_sock = str(workdir / "router.sock")
             await router.start_unix(router_sock)
             client = await AsyncLeaseClient.open_unix(router_sock)
-            await client.acquire("t-0", 0, 0)
+            await client.tick(0)
             while len(router.history) < 3:
                 await asyncio.sleep(0.02)
-            await client.acquire("t-1", 7, 0)
+            await client.tick(1)
             await asyncio.sleep(0.05)
             out = await _http(plane.port, "GET", "/metrics/history")
             await client.close()
@@ -232,7 +243,7 @@ class TestRouterLiveDebugging:
         payload = json.loads(body)
         assert payload["enabled"] is True
         assert payload["samples"] >= 3
-        # A relay family moved between samples.
+        # A link family moved between samples (the tick broadcasts).
         frames = payload["families"]["cluster_worker_frames_total"]["series"]
         assert sum(row["delta"] for row in frames) > 0
 
@@ -307,7 +318,7 @@ class TestWorkerMetricsFold:
             )
             router_sock = str(workdir / "router.sock")
             await router.start_unix(router_sock)
-            client = await AsyncLeaseClient.open_unix(router_sock)
+            client = await DirectLeaseClient.open_unix(router_sock)
             await client.acquire("t-0", 0, 0)
             await client.acquire("t-1", 7, 0)
             status, body = await _http(plane.port, "GET", "/metrics")
@@ -353,28 +364,21 @@ class TestWorkerMetricsFold:
 class TestFleetTraceEndToEnd:
     def test_merged_fleet_jsonl_reconstructs_one_tree_per_op(self, tmp_path):
         """The acceptance path: a 2-worker subprocess cluster with every
-        hop traced; merging client + router + worker span files must
-        yield exactly one causal tree per mutation, rooted at the
-        client, relayed by the router, dispatched by a worker."""
+        hop traced; merging client + worker span files must yield
+        exactly one causal tree per mutation, rooted at the client and
+        dispatched by the owning worker."""
         trace_root = tmp_path / "spans"
         trace_root.mkdir()
         client_file = tmp_path / "client.jsonl"
-        router_file = tmp_path / "router.jsonl"
         instance = build_cluster_instance(
             "markov", 24, seed=3, num_resources=8, tenants_per_resource=2,
             num_workers=2, shards_per_worker=2,
             trace_root=str(trace_root),
         )
-        report = cluster_once(
-            instance,
-            router_trace=TraceSink(router_file),
-            client_trace=TraceSink(client_file),
-        )
+        report = cluster_once(instance, client_trace=TraceSink(client_file))
         assert report["requests"] > 0
-        files = [client_file, router_file] + sorted(
-            trace_root.glob("worker-*.jsonl")
-        )
-        assert len(files) == 4, "each worker process wrote its span file"
+        files = [client_file] + sorted(trace_root.glob("worker-*.jsonl"))
+        assert len(files) == 3, "each worker process wrote its span file"
         trees = build_trace_trees(load_spans(files))
         assert trees, "a traced drive leaves traces"
         chains = set()
@@ -386,23 +390,16 @@ class TestFleetTraceEndToEnd:
             assert root.span["kind"] == "client"
             for node in root.walk():
                 assert node.span["trace"] == trace_id
+            # Mutations reach one worker straight from the client; the
+            # router's tick broadcast carries the client's context
+            # verbatim, so every worker span parents to the client.
             for child in root.children:
                 assert child.span["parent"] == root.span["span_id"]
-                if child.span["kind"] == "dispatch":
-                    # Tick broadcasts carry the client's context
-                    # verbatim — worker spans parent straight to it.
-                    assert child.span["op"] == "tick"
-                    continue
-                assert child.span["kind"] == "relay"
-                for dispatch in child.children:
-                    assert dispatch.span["kind"] == "dispatch"
-                    assert dispatch.span["parent"] == child.span["span_id"]
-                    chains.add(
-                        (root.span["op"], child.span["op"],
-                         dispatch.span["op"])
-                    )
-        # At least one acquire made the full three-hop journey.
-        assert ("acquire", "acquire", "acquire") in chains
+                assert child.span["kind"] == "dispatch"
+                assert not child.children
+                chains.add((root.span["op"], child.span["op"]))
+        assert ("acquire", "acquire") in chains
+        assert ("tick", "tick") in chains
 
 
 class TestFederatedTrace:
@@ -433,10 +430,7 @@ class TestFederatedTrace:
             workers = spawn_workers(spec, workdir)
 
             async def main():
-                router = ClusterRouter(
-                    spec, respawn=make_respawner(workers),
-                    trace=TraceSink(tmp_path / "router.jsonl"),
-                )
+                router = ClusterRouter(spec, respawn=make_respawner(workers))
                 await router.connect_workers(
                     [w.socket_path for w in workers], retry_for=60.0
                 )
@@ -444,13 +438,13 @@ class TestFederatedTrace:
                 await router.start_unix(router_sock)
                 plane = AdminPlane(router)
                 await plane.start_tcp()
-                client = await AsyncLeaseClient.open_unix(
-                    router_sock, retry_for=60.0,
-                    trace=TraceSink(tmp_path / "client.jsonl"),
+                sink = TraceSink(tmp_path / "client.jsonl")
+                client = await DirectLeaseClient.open_unix(
+                    router_sock, retry_for=60.0, trace=sink,
                 )
                 await client.acquire("t-0", 0, 0)
                 await client.acquire("t-1", 7, 0)  # worker 1's resource
-                client._trace_sink.flush()
+                sink.flush()
                 victim = next(
                     s for s in load_spans([tmp_path / "client.jsonl"])
                     if s.get("resource") == 7
@@ -481,21 +475,19 @@ class TestFederatedTrace:
         live_after = json.loads(after[1])["roots"]
         # The offline ground truth: the fleet's own files, merged.  (The
         # client's file stays out on both sides — the fleet never holds
-        # the client hop, so the relay roots the tree in each view.)
+        # the client hop, so the dispatch span roots the tree in each
+        # view.)
         offline_spans = load_spans(
-            [tmp_path / "router.jsonl"]
-            + [spec.worker_trace_path(i) for i in range(2)]
+            [spec.worker_trace_path(i) for i in range(2)]
         )
         offline = trace_tree_payload(build_trace_trees(offline_spans)[victim])
         assert self._skeleton(live_before) == self._skeleton(offline)
         assert self._skeleton(live_after) == self._skeleton(offline)
-        # The tree really is the relay -> dispatch chain, and the
-        # dispatch span in the post-kill answer came from the respawned
-        # worker's sink, relabeled with its slot.
-        (root,) = live_after
-        assert root["kind"] == "relay"
-        (dispatch,) = root["children"]
+        # The dispatch span in the post-kill answer came from the
+        # respawned worker's sink, relabeled with its slot.
+        (dispatch,) = live_after
         assert dispatch["kind"] == "dispatch"
+        assert dispatch["children"] == []
         assert dispatch["worker"] == "1"
         assert dispatch["op"] == "acquire"
 
@@ -525,11 +517,14 @@ class TestForceReleaseSurvivesKill:
                 await router.start_unix(router_sock)
                 plane = AdminPlane(router)
                 await plane.start_tcp()
+                tenant = await DirectLeaseClient.open_unix(
+                    router_sock, retry_for=60.0
+                )
                 client = await AsyncLeaseClient.open_unix(
                     router_sock, retry_for=60.0
                 )
-                await client.acquire("t-0", 0, 0)
-                await client.acquire("t-1", 7, 0)
+                await tenant.acquire("t-0", 0, 0)
+                await tenant.acquire("t-1", 7, 0)
                 book = json.loads(
                     (await _http(plane.port, "GET", "/leases?resource=7"))[1]
                 )
@@ -547,6 +542,7 @@ class TestForceReleaseSurvivesKill:
                     (await _http(plane.port, "GET", "/healthz"))[1]
                 )
                 trace = await client.trace()
+                await tenant.close()
                 await client.close()
                 await plane.close()
                 await router.shutdown()

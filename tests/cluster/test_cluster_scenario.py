@@ -1,8 +1,8 @@
 """The cluster-* scenario family: clustered aggregate byte-identical to
 the inline replay, registry integration, determinism, and verification —
 against a real subprocess worker fleet.  The topology matrix at the
-bottom proves the identity holds for every workload through every data
-plane: single-process, routed, direct, and direct through a kill -9."""
+bottom proves the identity holds for every workload: single-process,
+direct, and direct through a kill -9."""
 
 from dataclasses import replace
 
@@ -47,23 +47,14 @@ class TestRegistry:
         scenario = get_scenario("cluster-markov")
         assert "worker processes" in scenario.description
 
-    def test_direct_variants_registered_for_every_workload(self):
+    def test_cluster_scenarios_run_direct(self):
+        # One data plane: there are no separate direct variants, and
+        # every cluster-* scenario sends its mutations to the workers.
         names = set(scenario_names())
         for workload in WORKLOAD_NAMES:
-            assert f"cluster-direct-{workload}" in names
-            scenario = get_scenario(f"cluster-direct-{workload}")
-            assert scenario.family == "cluster"
-            assert scenario.workload == workload
-            assert scenario.direct_servable
+            assert f"cluster-direct-{workload}" not in names
+            scenario = get_scenario(f"cluster-{workload}")
             assert "direct to" in scenario.description
-        # The routed originals stay routed — and say so.
-        routed = get_scenario("cluster-markov")
-        assert routed.direct_servable
-        assert "routed over" in routed.description
-        assert routed.build(0).topology == "routed"
-        assert get_scenario("cluster-direct-markov").build(0).topology == (
-            "direct"
-        )
 
 
 class TestClusteredAggregate:
@@ -117,19 +108,16 @@ class TestTopologyMatrix:
     """The byte-identity matrix: every workload, every data plane.
 
     The ``single`` arm — one inline broker replay of the canonical
-    trace — is the ground truth each cell compares against; ``routed``
-    relays mutations through the router, ``direct`` sends them straight
-    to the owning workers after the route handshake, and
-    ``direct-kill9`` SIGKILLs a worker mid-drive and demands the
-    identity hold through WAL recovery, supervised respawn, and the
-    client-side marked resend."""
+    trace — is the ground truth each cell compares against; ``direct``
+    sends mutations straight to the owning workers after the route
+    handshake, and ``direct-kill9`` SIGKILLs a worker mid-drive and
+    demands the identity hold through WAL recovery, supervised respawn,
+    and the client-side marked resend."""
 
     SEED = 11
 
     @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
-    @pytest.mark.parametrize(
-        "topology", ["routed", "direct", "direct-kill9"]
-    )
+    @pytest.mark.parametrize("topology", ["direct", "direct-kill9"])
     def test_equals_single_process_replay(self, workload, topology,
                                           tmp_path):
         if topology == "direct-kill9":
@@ -143,7 +131,6 @@ class TestTopologyMatrix:
                 workload, 48, self.SEED, str(tmp_path / "wal"),
                 num_resources=4, tenants_per_resource=2,
                 num_workers=2, shards_per_worker=1,
-                topology="direct",
             )
             outcome = run_chaos(
                 instance,
@@ -156,14 +143,12 @@ class TestTopologyMatrix:
             instance = build_cluster_instance(
                 workload, 48, self.SEED, num_resources=4,
                 tenants_per_resource=2, num_workers=2,
-                shards_per_worker=1, topology=topology,
+                shards_per_worker=1,
             )
             clustered = run_cluster_instance(instance, seed=self.SEED)
         single = run_broker_trace(instance.trace, self.SEED)
         assert clustered.detail["cluster"]["report_equal"] is True
-        assert clustered.detail["cluster"]["topology"] == (
-            "direct" if topology.startswith("direct") else "routed"
-        )
+        assert clustered.detail["cluster"]["handshakes"] > 0
         assert clustered.cost == single.cost
         assert tuple(clustered.leases) == tuple(single.leases)
         assert (

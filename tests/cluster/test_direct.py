@@ -1,5 +1,5 @@
 """The direct data plane: the route handshake, epoch staleness, and the
-two-plane client — against in-process workers, plus a hypothesis sweep
+direct client — against in-process workers, plus a hypothesis sweep
 proving the handed-out route map *is* the spec's shard tiling."""
 
 import asyncio
@@ -16,7 +16,6 @@ from repro.cluster import (
     ClusterSpec,
     WorkerLiveness,
     format_endpoint,
-    parse_endpoint,
 )
 from repro.errors import ModelError
 from repro.serve import (
@@ -81,22 +80,22 @@ class TestRouteMapProperty:
         port=st.integers(1, 65535),
     )
     def test_endpoint_round_trip(self, path, port):
-        unix = format_endpoint("unix", path)
-        assert parse_endpoint(unix) == ("unix", (path,))
-        tcp = format_endpoint("tcp", "127.0.0.1", port)
-        assert parse_endpoint(tcp) == ("tcp", ("127.0.0.1", port))
-        # The serve-side copy (layering keeps it from importing this
-        # one) must agree on every endpoint the router can hand out.
-        assert parse_worker_endpoint(unix) == ("unix", (path,))
-        assert parse_worker_endpoint(tcp) == ("tcp", ("127.0.0.1", port))
+        # One grammar: every endpoint the router can hand out parses
+        # back to the address it was formatted from.
+        for address in (("unix", path), ("tcp", "127.0.0.1", port)):
+            assert parse_worker_endpoint(format_endpoint(*address)) == (
+                address[0], address[1:]
+            )
 
     def test_bare_path_still_means_unix(self):
-        assert parse_endpoint("/tmp/w.sock") == ("unix", ("/tmp/w.sock",))
+        assert parse_worker_endpoint("/tmp/w.sock") == (
+            "unix", ("/tmp/w.sock",)
+        )
 
     def test_malformed_endpoints_rejected(self):
         for bad in ("tcp:nohost", "tcp:host:notaport"):
             with pytest.raises(ModelError):
-                parse_endpoint(bad)
+                parse_worker_endpoint(bad)
         with pytest.raises(ModelError):
             format_endpoint("carrier-pigeon", "x")
 
@@ -132,7 +131,7 @@ class TestRouteVerb:
             assert row["epoch"] == 0
             assert row["state"] == "up"
             assert row["liveness"] == "up"
-            assert parse_endpoint(row["endpoint"])[0] == "unix"
+            assert parse_worker_endpoint(row["endpoint"])[0] == "unix"
         # A probe carrying the current epoch is answered, not errored.
         assert fresh == table
 
@@ -296,8 +295,10 @@ class TestTcpAndReusePort:
             router = ClusterRouter(spec)
             await router.connect_workers(paths, codec="bin")
             port = await router.start_tcp("127.0.0.1", 0)
-            client = await AsyncLeaseClient.open_tcp("127.0.0.1", port)
-            hello = await client.call("hello")
+            control = await AsyncLeaseClient.open_tcp("127.0.0.1", port)
+            hello = await control.call("hello")
+            await control.close()
+            client = await DirectLeaseClient.open_tcp("127.0.0.1", port)
             grant = await client.acquire("t", 0, 0)
             await client.close()
             await router.shutdown()
@@ -350,7 +351,7 @@ class TestTcpAndReusePort:
 
 class TestLivenessWiring:
     def test_link_frames_beat_the_tracker(self, workdir):
-        """Response traffic is proof of life: after served ops, every
+        """Response traffic is proof of life: after a tick, every
         worker's liveness reads ``up`` on the router's injected clock —
         and silencing the clock declares them suspect without any
         socket activity."""
@@ -373,8 +374,7 @@ class TestLivenessWiring:
             router_sock = str(workdir / "router.sock")
             await router.start_unix(router_sock)
             client = await AsyncLeaseClient.open_unix(router_sock)
-            await client.acquire("t", 0, 0)
-            await client.acquire("t2", 3, 0)
+            await client.tick(0)
             states_after_traffic = router.liveness.states()
             clock.now += 5.0
             table = await client.call("route")

@@ -1,5 +1,6 @@
 """Router mechanics against in-process workers: topology math, hello,
-routing, barriers, drain, backpressure, and config validation.
+the control-plane-only contract, barriers, drain, supervision tallies,
+the bounded request reader, and config validation.
 
 The workers here are real :class:`LeaseServer` instances on unix sockets
 inside the test's own event loop — the router cannot tell (the protocol
@@ -19,11 +20,17 @@ from repro.cluster import ClusterRouter, ClusterSpec
 from repro.core import LeaseSchedule
 from repro.errors import ModelError
 from repro.obs import MetricsRegistry, parse_exposition, validate_exposition
-from repro.serve import AsyncLeaseClient, LeaseServer, ServeError
+from repro.serve import (
+    AsyncLeaseClient,
+    DirectLeaseClient,
+    LeaseServer,
+    ServeError,
+)
 from repro.serve.protocol import (
+    HEADER,
+    MAX_REQUEST_BYTES,
     ok,
     read_frame,
-    request,
     write_frame,
 )
 
@@ -107,21 +114,23 @@ class TestRouting:
             router_sock = str(workdir / "router.sock")
             await router.start_unix(router_sock)
             client = await AsyncLeaseClient.open_unix(router_sock, codec="bin")
+            tenant = await DirectLeaseClient.open_unix(router_sock, codec="bin")
             outcome = {}
             outcome["hello"] = await client.call("hello", codec="bin")
             # One acquire per worker range, one tick across both.
-            outcome["left"] = await client.acquire("tl", 0, 0)
-            outcome["right"] = await client.acquire("tr", 7, 0)
+            outcome["left"] = await tenant.acquire("tl", 0, 0)
+            outcome["right"] = await tenant.acquire("tr", 7, 0)
             outcome["tick"] = await client.tick(1)
             outcome["stats"] = await client.stats()
             outcome["report"] = await client.report()
             outcome["drain"] = await client.drain()
             try:
-                await client.acquire("tl", 1, 1)
+                await tenant.acquire("tl", 1, 1)
                 outcome["post_drain"] = None
             except ServeError as exc:
                 outcome["post_drain"] = exc
-            outcome["release"] = await client.release("tl", 0, 1)
+            outcome["release"] = await tenant.release("tl", 0, 1)
+            await tenant.close()
             await client.close()
             await router.shutdown()
             outcome["worker_states"] = [s.state for s in servers]
@@ -150,6 +159,7 @@ class TestRouting:
         assert [s["index"] for s in outcome["report"]["shards"]] == [0, 1, 2, 3]
         assert sum(s["stats"]["acquires"] for s in stats["shards"]) == 2
         assert outcome["drain"]["state"] == "draining"
+        # The drain reached the workers, which refused the acquire.
         assert outcome["post_drain"] is not None
         assert outcome["post_drain"].kind == "draining"
         # The release was *served* during the drain (ok frame, not an
@@ -169,7 +179,7 @@ class TestRouting:
             await router.connect_workers(paths, codec="json")
             router_sock = str(workdir / "router.sock")
             await router.start_unix(router_sock)
-            client = await AsyncLeaseClient.open_unix(router_sock)
+            client = await DirectLeaseClient.open_unix(router_sock)
             grant = await client.acquire("t", 3, 0)
             report = await client.report()
             await client.close()
@@ -183,7 +193,7 @@ class TestRouting:
 
 class TestRouterMetrics:
     def test_metrics_verb_folds_fleet_state(self, workdir):
-        """The router's scrape: per-link gauges and relay latency from
+        """The router's scrape: per-link gauges and call latency from
         its own registry, worker broker/session state folded in at
         scrape time — and the concatenation is a valid exposition."""
         spec = ClusterSpec(8, 2, 2)
@@ -194,11 +204,13 @@ class TestRouterMetrics:
             await router.connect_workers(paths, codec="bin")
             router_sock = str(workdir / "router.sock")
             await router.start_unix(router_sock)
+            tenant = await DirectLeaseClient.open_unix(router_sock, codec="bin")
             client = await AsyncLeaseClient.open_unix(router_sock, codec="bin")
-            await client.acquire("tl", 0, 0)
-            await client.acquire("tr", 7, 0)
+            await tenant.acquire("tl", 0, 0)
+            await tenant.acquire("tr", 7, 0)
             await client.tick(1)
             text = (await client.call("metrics"))["text"]
+            await tenant.close()
             await client.close()
             await router.shutdown()
             return text
@@ -208,7 +220,6 @@ class TestRouterMetrics:
         families = parse_exposition(text)
         for name in (
             "cluster_worker_inflight",
-            "cluster_worker_window",
             "cluster_worker_frames_total",
             "cluster_relay_latency_seconds",
             "broker_acquires_total",
@@ -226,7 +237,7 @@ class TestRouterMetrics:
             for _, _, value in families["broker_acquires_total"].samples
         )
         assert acquires == 2
-        # Relay latency was sampled for the routed mutations.
+        # Call latency was sampled for the tick on both links.
         count = sum(
             value
             for name, _, value in families[
@@ -258,8 +269,8 @@ class TestRouterMetrics:
         assert "cluster_relay_latency_seconds" not in families
 
 
-async def _stub_worker(path: str, spec: ClusterSpec, answer_mutations: bool):
-    """A fake worker: a valid hello, then (optionally) eternal silence."""
+async def _stub_worker(path: str, spec: ClusterSpec):
+    """A fake worker: a valid hello, then silence for every other op."""
     schedule = spec.schedule()
     hello = {
         "server": "stub",
@@ -281,52 +292,185 @@ async def _stub_worker(path: str, spec: ClusterSpec, answer_mutations: bool):
                 break
             if payload.get("op") == "hello":
                 await write_frame(writer, ok(payload.get("id"), hello))
-            elif answer_mutations:
-                await write_frame(
-                    writer, ok(payload.get("id"), {"applied_time": 0})
-                )
-            # else: swallow the frame — in-flight forever.
 
     return await asyncio.start_unix_server(handle, path=path)
 
 
-class TestBackpressureAndValidation:
-    def test_worker_window_bounds_per_worker_inflight(self, workdir):
-        """Against a worker that never answers, the second routed
-        mutation must bounce with a backpressure error frame instead of
-        queueing without bound."""
-        spec = ClusterSpec(2, 1, 1)
+async def _router_over_inprocess_workers(spec, workdir, **router_kwargs):
+    """(router, its socket path, the worker servers), listening."""
+    servers, paths = await _start_inprocess_workers(spec, workdir)
+    router = ClusterRouter(spec, **router_kwargs)
+    await router.connect_workers(paths)
+    router_sock = str(workdir / "router.sock")
+    await router.start_unix(router_sock)
+    return router, router_sock, servers
+
+
+class TestControlPlaneOnly:
+    def test_mutations_to_the_router_get_a_typed_error(self, workdir):
+        """A plain client that skips the route handshake is told to use
+        it — and the same connection still answers tick and report."""
+        spec = ClusterSpec(8, 2, 2)
 
         async def main():
-            path = str(workdir / "stub.sock")
-            stub = await _stub_worker(path, spec, answer_mutations=False)
-            router = ClusterRouter(spec, worker_window=1)
-            await router.connect_workers([path], codec="json")
-            router_sock = str(workdir / "router.sock")
-            await router.start_unix(router_sock)
+            router, router_sock, _ = await _router_over_inprocess_workers(
+                spec, workdir
+            )
             client = await AsyncLeaseClient.open_unix(router_sock)
-            first = asyncio.ensure_future(client.acquire("t", 0, 0))
-            await asyncio.sleep(0.05)  # let the first reach the link
-            try:
-                await client.acquire("t", 1, 0)
-                bounced = None
-            except ServeError as exc:
-                bounced = exc
-            first.cancel()
+            refusals = []
+            for op in ("acquire", "renew", "release"):
+                try:
+                    await client.call(op, tenant="t", resource=0, time=0)
+                except ServeError as exc:
+                    refusals.append(exc)
+            tick = await client.tick(3)
+            report = await client.report()
             await client.close()
-            stub.close()
-            return bounced
+            await router.shutdown()
+            return refusals, tick, report
 
-        bounced = asyncio.run(main())
-        assert bounced is not None and bounced.kind == "backpressure"
+        refusals, tick, report = asyncio.run(main())
+        assert len(refusals) == 3
+        for exc in refusals:
+            assert exc.kind == "protocol"
+            assert "'route'" in exc.message
+        assert tick["applied_time"] == 3
+        assert [s["index"] for s in report["shards"]] == [0, 1, 2, 3]
+        # Nothing was applied: the refusals never reached a worker.
+        assert all(s["stats"]["acquires"] == 0 for s in report["shards"])
 
+
+class TestBoundedRequestReader:
+    def test_oversized_header_is_refused_then_closed(self, workdir):
+        spec = ClusterSpec(4, 2, 1)
+
+        async def main():
+            router, router_sock, _ = await _router_over_inprocess_workers(
+                spec, workdir
+            )
+            reader, writer = await asyncio.open_unix_connection(router_sock)
+            writer.write(HEADER.pack(MAX_REQUEST_BYTES + 1))
+            await writer.drain()
+            refusal = await read_frame(reader)
+            after = await read_frame(reader)
+            writer.close()
+            await router.shutdown()
+            return refusal, after
+
+        refusal, after = asyncio.run(main())
+        assert refusal["ok"] is False
+        assert refusal["error"]["kind"] == "protocol"
+        assert str(MAX_REQUEST_BYTES) in refusal["error"]["message"]
+        assert after is None, "the router closes after the refusal"
+
+    def test_body_cut_off_mid_frame_closes_quietly(self, workdir):
+        spec = ClusterSpec(4, 2, 1)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            escaped = []
+            loop.set_exception_handler(
+                lambda _loop, context: escaped.append(context)
+            )
+            router, router_sock, _ = await _router_over_inprocess_workers(
+                spec, workdir
+            )
+            reader, writer = await asyncio.open_unix_connection(router_sock)
+            writer.write(HEADER.pack(100) + b'{"op": "hel')
+            writer.write_eof()
+            after = await read_frame(reader)
+            writer.close()
+            # The router is still serving other connections.
+            client = await AsyncLeaseClient.open_unix(router_sock)
+            hello = await client.hello()
+            await client.close()
+            await router.shutdown()
+            return after, hello, escaped
+
+        after, hello, escaped = asyncio.run(main())
+        assert after is None
+        assert hello["server"] == "repro.cluster"
+        assert escaped == []
+
+
+class TestSupervisionTallies:
+    def test_failed_respawn_attempt_is_counted(self, workdir):
+        """A respawn callback that fails once and then succeeds: the
+        worker comes back and the scrape counts the failed attempt."""
+        spec = ClusterSpec(4, 2, 1)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            attempts = []
+
+            async def restart(index: int) -> str:
+                path = str(workdir / f"w{index}.sock")
+                server = LeaseServer(
+                    spec.schedule(),
+                    num_resources=spec.num_resources,
+                    num_shards=spec.total_shards,
+                    record=spec.record,
+                )
+                await server.start_unix(path)
+                return path
+
+            def respawn(index: int) -> str:
+                # Runs in an executor thread, as real respawns do.
+                attempts.append(index)
+                if len(attempts) == 1:
+                    raise RuntimeError("first respawn attempt fails")
+                return asyncio.run_coroutine_threadsafe(
+                    restart(index), loop
+                ).result(timeout=10)
+
+            router, router_sock, servers = (
+                await _router_over_inprocess_workers(
+                    spec, workdir, respawn=respawn, respawn_backoff=0.01
+                )
+            )
+            await servers[1].shutdown()
+            for _ in range(500):
+                if router.route_epoch == 1:
+                    break
+                await asyncio.sleep(0.01)
+            client = await AsyncLeaseClient.open_unix(router_sock)
+            text = (await client.call("metrics"))["text"]
+            tick = await client.tick(1)
+            await client.close()
+            await router.shutdown()
+            return attempts, text, tick
+
+        attempts, text, tick = asyncio.run(main())
+        assert attempts == [1, 1]
+        assert tick["applied_time"] == 1
+        assert validate_exposition(text) == []
+        families = parse_exposition(text)
+
+        def by_worker(name):
+            return {
+                labels["worker"]: value
+                for _, labels, value in families[name].samples
+            }
+
+        assert by_worker("cluster_respawn_failures_total") == {
+            "0": 0.0, "1": 1.0,
+        }
+        assert by_worker("cluster_worker_respawns_total") == {
+            "0": 0.0, "1": 1.0,
+        }
+        assert by_worker("cluster_heartbeat_errors_total") == {
+            "0": 0.0, "1": 0.0,
+        }
+
+
+class TestBackpressureAndValidation:
     def test_worker_config_mismatch_refused_at_connect(self, workdir):
         spec = ClusterSpec(8, 1, 2)
         wrong = ClusterSpec(8, 1, 1)  # stub advertises 1 shard, spec wants 2
 
         async def main():
             path = str(workdir / "stub.sock")
-            stub = await _stub_worker(path, wrong, answer_mutations=True)
+            stub = await _stub_worker(path, wrong)
             router = ClusterRouter(spec)
             try:
                 await router.connect_workers([path], retry_for=1.0)

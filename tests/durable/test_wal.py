@@ -21,6 +21,24 @@ from repro.errors import ModelError
 
 SCHEDULE = LeaseSchedule.power_of_two(4, cost_growth=2.0)
 
+#: Arbitrary JSON values, and state objects keyed mostly by the names a
+#: broker snapshot really carries, so draws reach past the first lookup.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=16,
+)
+_STATES = st.dictionaries(
+    st.sampled_from(
+        ["coverage", "grants", "grant_heap", "clock", "next_grant_id",
+         "closed", "stats"]
+    ) | st.text(max_size=8),
+    _JSON,
+    max_size=8,
+)
+
 
 def _fill(wal: ShardWal) -> list[tuple]:
     ops = [
@@ -140,6 +158,44 @@ class TestSnapshotAndRecovery:
         document = json.loads(content)
         assert recovery.last_seq == document["seq"]
         assert recovery.state == document["state"]
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(state=_STATES)
+    @example(state={})
+    @example(state={"coverage": [], "grants": []})
+    def test_any_accepted_state_restores_or_raises_typed(
+        self, tmp_path, state
+    ):
+        """A well-formed document whose ``state`` object the loader
+        accepts must, through ``LeaseServer`` recovery, either restore
+        or raise ``ModelError`` naming the file — never a bare
+        ``KeyError`` from inside the broker."""
+        import asyncio
+
+        from repro.serve import LeaseServer
+
+        wal_dir = tmp_path / "wal"
+        shard = wal_dir / "shard-0"
+        shard.mkdir(parents=True, exist_ok=True)
+        (shard / SNAPSHOT_FILE).write_text(
+            json.dumps({"version": 1, "seq": 0, "state": state})
+        )
+        server = LeaseServer(
+            SCHEDULE, num_resources=4, num_shards=1, wal_dir=wal_dir
+        )
+
+        async def start_and_stop():
+            await server.start_tcp("127.0.0.1", 0)
+            await server.shutdown()
+
+        try:
+            asyncio.run(start_and_stop())
+        except ModelError as exc:
+            assert f"corrupt snapshot {shard / SNAPSHOT_FILE}" in str(exc)
 
     def test_broker_recovery_through_wal_is_byte_identical(self, tmp_path):
         """End-to-end: snapshot + WAL replay == the broker that never died."""

@@ -170,40 +170,28 @@ class TestCli:
         assert "report equals inline replay" in output
         assert "NO" not in output
 
-    def test_engine_list_shows_direct_column(self, capsys):
-        assert main(["engine", "list", "--family", "cluster"]) == 0
-        output = capsys.readouterr().out
-        header, rows = output.splitlines()[1], output.splitlines()[3:]
-        assert "direct" in header
-        direct_at = header.index("direct")
-        assert rows and all("yes" in row[direct_at:] for row in rows)
-        # Families without the two-plane path leave the column blank.
-        assert main(["engine", "list", "--family", "parking"]) == 0
-        output = capsys.readouterr().out
-        header, rows = output.splitlines()[1], output.splitlines()[3:]
-        direct_at = header.index("direct")
-        assert rows and all("yes" not in row[direct_at:] for row in rows)
-
-    def test_engine_loadgen_direct_requires_a_fleet(self, capsys):
-        """``--direct`` without ``--cluster`` or ``--socket`` is a usage
-        error, reported up front with exit 2 — same convention as
-        ``--shards`` on a non-shardable scenario."""
-        assert main(
-            ["engine", "loadgen", "--horizon", "48", "--direct"]
-        ) == 2
-        err = capsys.readouterr().err
-        assert "--direct" in err
-        assert "engine list" in err
-
     def test_engine_loadgen_direct_cluster_in_process(self, capsys):
         assert main(
             ["engine", "loadgen", "--horizon", "48", "--resources", "4",
-             "--cluster", "2", "--direct", "--check"]
+             "--cluster", "2", "--check"]
         ) == 0
         output = capsys.readouterr().out
         assert "report equals inline replay" in output
-        assert "direct" in output
+        assert "in-process cluster (2 workers)" in output
         assert "NO" not in output
+
+    def test_engine_list_counts_one_cluster_scenario_per_workload(
+        self, capsys
+    ):
+        from repro.engine import WORKLOAD_NAMES
+
+        assert main(["engine", "list", "--family", "cluster"]) == 0
+        output = capsys.readouterr().out
+        assert output.splitlines()[0].startswith(
+            f"{len(WORKLOAD_NAMES)} registered scenarios"
+        )
+        assert "direct" not in output.splitlines()[1]
+        assert "cluster-direct-" not in output
 
     def test_seed_reproducibility(self, capsys):
         main(["parking", "--horizon", "80", "--seed", "5"])

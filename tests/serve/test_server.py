@@ -224,29 +224,31 @@ class TestDrainMidBatch:
         served regardless, and — the strong invariant — whatever subset
         of the batch was applied, the served totals equal an inline
         replay of the recorded (serialized) traces."""
-        from repro.serve import LeaseClient, ServerThread
-
         server = LeaseServer(
             SCHEDULE, num_resources=4, num_shards=2, record=True
         )
-        thread = ServerThread(server, unix_path=sock_path).start()
-        try:
-            with LeaseClient(path=sock_path, codec="bin") as client:
-                held = client.acquire("t0", 0, 0)
-                assert held["grant"]["resource"] == 0
-                batch = client.pipeline(
-                    [
-                        ("acquire", {"tenant": "t1", "resource": 1, "time": 0}),
-                        ("release", {"tenant": "t0", "resource": 0, "time": 0}),
-                        ("drain", {}),
-                        ("acquire", {"tenant": "t2", "resource": 2, "time": 0}),
-                        ("acquire", {"tenant": "t3", "resource": 3, "time": 0}),
-                    ]
-                )
-                report = client.report()
-                trace = client.trace()
-        finally:
-            thread.stop()
+
+        async def main():
+            await server.start_unix(sock_path)
+            client = await AsyncLeaseClient.open_unix(sock_path, codec="bin")
+            held = await client.acquire("t0", 0, 0)
+            assert held["grant"]["resource"] == 0
+            batch = await client.call_batch(
+                [
+                    ("acquire", {"tenant": "t1", "resource": 1, "time": 0}),
+                    ("release", {"tenant": "t0", "resource": 0, "time": 0}),
+                    ("drain", {}),
+                    ("acquire", {"tenant": "t2", "resource": 2, "time": 0}),
+                    ("acquire", {"tenant": "t3", "resource": 3, "time": 0}),
+                ]
+            )
+            report = await client.report()
+            trace = await client.trace()
+            await client.close()
+            await server.shutdown()
+            return batch, report, trace
+
+        batch, report, trace = asyncio.run(main())
         first_acquire, release, drained, late_a, late_b = batch
         assert drained["state"] == "draining"
         # Releases complete the lifecycle of held grants during a drain.
