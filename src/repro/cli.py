@@ -380,10 +380,15 @@ def cmd_engine_replay(args) -> int:
 
 def cmd_engine_serve(args) -> int:
     import asyncio
+    import sys
 
+    from .errors import ModelError
     from .obs import MetricsRegistry, TraceSink
     from .serve import LeaseServer
 
+    if not args.socket and args.port is None:
+        print("error: engine serve needs --socket and/or --port")
+        return 2
     schedule = LeaseSchedule.power_of_two(
         args.num_types, cost_growth=args.cost_growth
     )
@@ -397,18 +402,8 @@ def cmd_engine_serve(args) -> int:
         wal_kwargs["fsync"] = args.fsync
         if args.snapshot_every is not None:
             wal_kwargs["snapshot_every"] = args.snapshot_every
-    server = LeaseServer(
-        schedule,
-        num_resources=args.resources,
-        num_shards=args.shards,
-        record=args.record,
-        idle_timeout=args.idle_timeout,
-        metrics=metrics,
-        trace=trace,
-        **wal_kwargs,
-    )
 
-    async def _main() -> None:
+    async def _main(server: LeaseServer) -> None:
         where = []
         if args.socket:
             await server.start_unix(args.socket)
@@ -442,13 +437,24 @@ def cmd_engine_serve(args) -> int:
             if admin is not None:
                 await admin.close()
 
-    if not args.socket and args.port is None:
-        print("error: engine serve needs --socket and/or --port")
-        return 2
     try:
-        asyncio.run(_main())
+        server = LeaseServer(
+            schedule,
+            num_resources=args.resources,
+            num_shards=args.shards,
+            record=args.record,
+            idle_timeout=args.idle_timeout,
+            metrics=metrics,
+            trace=trace,
+            **wal_kwargs,
+        )
+        asyncio.run(_main(server))
     except KeyboardInterrupt:
         pass
+    except ModelError as exc:
+        # A refused configuration, or WAL state that cannot be restored.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         trace.close()
     return 0

@@ -13,13 +13,13 @@ clock skeleton), the ``stats``/``report``/``trace``/``metrics``/
 supervision.
 
 **Worker links.**  Each worker is reached through one
-:class:`_WorkerLink`: a pipelined connection with its own id space, a
-coalescing writer (every flush drains the whole outgoing queue through
-one ``writelines``) and a reader that resolves the router's calls by id.
-A client connection's requests are answered one at a time, in read
-order; the barrier reads ride the same links after any already-sent
-tick, so they observe everything enqueued before them, worker by
-worker.
+:class:`~repro.serve.client.AsyncLeaseClient`, the same pipelined
+connection tenants use: its own id space, calls matched back by id.
+The router dials it with a fixed 50 ms poll and checks the worker's
+``hello`` against the cluster spec before any call.  A client
+connection's requests are answered one at a time, in read order; the
+barrier reads ride the same links after any already-sent tick, so they
+observe everything enqueued before them, worker by worker.
 
 **Merge discipline.**  Every worker runs the *global* shard tiling (see
 :class:`~repro.cluster.spec.ClusterSpec`), so its ``report``/``trace``
@@ -31,20 +31,22 @@ shards would have reported.  Merging those payloads with
 inline replay of the merged trace byte for byte, the identity the
 ``cluster-*`` scenarios and CI gate continuously.
 
-**Supervision and recovery.**  With a ``respawn`` callback configured,
-every link lives inside a :class:`_WorkerSlot` supervisor.  A worker
-death is detected two ways — the link reader hits EOF the moment the
-process dies (the kernel closes its sockets), and a periodic heartbeat
-``hello`` catches a process that is alive but hung.  The slot then takes
-ownership of the link's unanswered calls, *holds* every new call for
-that worker in a bounded queue, and restarts the worker through the
-callback (off the event loop) with jittered exponential backoff between
-attempts.  Once the successor is up — having replayed its WAL, when the
-fleet is durable — the slot resends the in-flight calls oldest-first
-(mutations with a ``retry`` marker; the worker's applied-log dedup makes
-the resend exactly-once) and then releases the held calls in arrival
-order.  Callers observe a stall, not an error; only a worker that stays
-dead past the respawn budget fails its calls with typed ``unavailable``.
+**Supervision and recovery.**  Each link lives in a :class:`_WorkerSlot`.
+A worker death shows as the link's reader stopping (the kernel closes a
+dead process's sockets) or, with a ``respawn`` callback configured, as a
+heartbeat ``hello`` unanswered past :data:`HEARTBEAT_TIMEOUT` (a hung
+process).  Without the callback, a call that finds its link dead
+answers typed ``unavailable`` at once.  With it, the slot restarts the
+worker through the callback (off the event loop) with jittered
+exponential backoff, and every call that met the dead link or arrived
+meanwhile — at most :data:`HOLD_LIMIT` of them, the rest are refused
+with ``backpressure`` — waits for the successor (which has replayed its
+WAL when the fleet is durable) and is sent again on it.  Mutations that
+were in flight go marked ``retry``, so the worker's applied-log dedup
+makes the resend exactly-once.  Callers observe a stall; only a worker
+still dead after :data:`MAX_RESPAWNS` attempts fails its calls with
+typed ``unavailable``.  Calls from different connections have no
+defined order, so the resends need not leave in their first order.
 The moved routing epoch tells direct clients to re-handshake.
 
 **Drain and shutdown.**  ``drain`` broadcasts to every worker, then
@@ -57,9 +59,7 @@ pending as ``unavailable``, and wakes :meth:`run_until_stopped`.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import random
-from collections import deque
 
 from ..errors import ModelError
 from ..obs.export import export_sessions, export_shards
@@ -68,7 +68,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.profile import SamplingProfiler
 from ..obs.promparse import merge_expositions, relabel_exposition
 from ..obs.tracetree import build_trace_trees, trace_tree_payload
-from ..serve.client import parse_worker_endpoint
+from ..serve.client import AsyncLeaseClient, parse_worker_endpoint
 from ..serve.protocol import (
     CODEC_BIN,
     CODEC_JSON,
@@ -78,13 +78,10 @@ from ..serve.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     ServeError,
-    encode_frame,
     error,
     negotiate_codec,
     ok,
-    parse_response,
     read_frame,
-    request,
     write_frame,
 )
 from ..serve.server import field_time
@@ -92,300 +89,89 @@ from .liveness import LIVE_SUSPECT, LIVE_UP, WorkerLiveness
 from .spec import ClusterSpec, format_endpoint
 
 
-async def _dial(endpoint: str):
-    """Open a stream to a worker endpoint, unix or tcp."""
+#: Calls one recovering worker may have waiting for its successor; past
+#: it a call draws a ``backpressure`` refusal.
+HOLD_LIMIT = 4096
+#: Respawn attempts per worker death before the slot is declared down.
+MAX_RESPAWNS = 5
+#: Base and cap (seconds) of the jittered exponential backoff between
+#: failed respawn attempts.
+RESPAWN_BACKOFF = 0.1
+RESPAWN_BACKOFF_CAP = 2.0
+#: Seconds between supervision heartbeats, and the unanswered-heartbeat
+#: window after which a hung worker's link is cut to force recovery.
+HEARTBEAT_EVERY = 2.0
+HEARTBEAT_TIMEOUT = 10.0
+
+
+def _check_worker_hello(index: int, hello: dict, spec: ClusterSpec) -> None:
+    """Refuse a worker whose ``hello`` disagrees with the cluster spec."""
+    schedule = spec.schedule()
+    mismatches = [
+        f"{field}: worker has {got!r}, cluster wants {want!r}"
+        for field, got, want in (
+            ("num_resources", hello.get("num_resources"), spec.num_resources),
+            ("num_shards", hello.get("num_shards"), spec.total_shards),
+            (
+                "schedule lengths",
+                hello.get("schedule", {}).get("lengths"),
+                [t.length for t in schedule],
+            ),
+            (
+                "schedule costs",
+                hello.get("schedule", {}).get("costs"),
+                [t.cost for t in schedule],
+            ),
+            ("record", hello.get("record"), spec.record),
+        )
+        if got != want
+    ]
+    if mismatches:
+        raise ModelError(
+            f"worker {index} config mismatch: " + "; ".join(mismatches)
+        )
+
+
+async def _open_link(
+    index: int, endpoint: str, spec: ClusterSpec, retry_for: float,
+    codec: str,
+) -> AsyncLeaseClient:
+    """Dial a worker, negotiate the codec and check its config."""
     kind, address = parse_worker_endpoint(endpoint)
-    if kind == "unix":
-        return await asyncio.open_unix_connection(address[0])
-    return await asyncio.open_connection(address[0], address[1])
-
-
-class _WorkerLink:
-    """The router's pipelined connection to one worker process."""
-
-    __slots__ = (
-        "index", "reader", "writer", "codec", "_ids", "_pending", "outq",
-        "_pump_task", "_read_task", "_metrics_on", "_clock", "_registry",
-        "_latency", "_frames", "_failures", "_on_death", "_on_beat",
-        "_closing",
-    )
-
-    def __init__(
-        self,
-        index: int,
-        reader,
-        writer,
-        codec: str,
-        metrics: MetricsRegistry | None = None,
-        on_death=None,
-        on_beat=None,
-    ):
-        self.index = index
-        self.reader = reader
-        self.writer = writer
-        self.codec = codec
-        self._on_beat = on_beat
-        self._ids = itertools.count(1)
-        #: link id -> (future, op, payload, t0).  The payload rides
-        #: along so a supervisor can resend the call verbatim on a
-        #: successor link.
-        self._pending: dict[int, tuple] = {}
-        self._on_death = on_death
-        self._closing = False
-        self.outq: asyncio.Queue = asyncio.Queue()
-        registry = metrics if metrics is not None else MetricsRegistry(
-            enabled=False
-        )
-        self._registry = registry
-        self._metrics_on = registry.enabled
-        self._clock = registry.clock
-        self._latency: dict = {}
-        self._frames = registry.counter(
-            "cluster_worker_frames_total",
-            help="Frames the router sent to this worker, by wire codec.",
-            worker=str(index),
-            codec=codec,
-        )
-        self._failures = registry.counter(
-            "cluster_link_failures_total",
-            help="In-flight ops failed because the worker link died.",
-            worker=str(index),
-        )
-        self._pump_task = asyncio.create_task(self._pump())
-        self._read_task = asyncio.create_task(self._read_loop())
-
-    def _latency_hist(self, op: str):
-        hist = self._latency.get(op)
-        if hist is None:
-            hist = self._latency[op] = self._registry.histogram(
-                "cluster_relay_latency_seconds",
-                help="Router-observed latency from send to worker reply.",
-                op=op,
-                worker=str(self.index),
-            )
-        return hist
-
-    # ------------------------------------------------------------------
-    # Construction: dial, negotiate the codec, validate the worker
-    # ------------------------------------------------------------------
-    @classmethod
-    async def open(
-        cls,
-        index: int,
-        endpoint: str,
-        spec: ClusterSpec,
-        retry_for: float = 10.0,
-        codec: str = CODEC_BIN,
-        metrics: MetricsRegistry | None = None,
-        on_death=None,
-        on_beat=None,
-    ) -> "_WorkerLink":
-        deadline = asyncio.get_running_loop().time() + retry_for
-        while True:
-            try:
-                reader, writer = await _dial(endpoint)
-                break
-            except (ConnectionRefusedError, FileNotFoundError, OSError):
-                if asyncio.get_running_loop().time() >= deadline:
-                    raise
-                await asyncio.sleep(0.05)
-        # Negotiate and validate before the pumps start, on the raw
-        # stream: worker id 0 is reserved for this one handshake.  Any
-        # handshake failure closes the fresh connection — a raised
-        # ModelError must not leak the socket.
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + retry_for
+    while True:
         try:
-            await write_frame(writer, request("hello", 0, codec=codec))
-            payload = await read_frame(reader)
-            if payload is None:
-                raise ModelError(f"worker {index} hung up during hello")
-            hello = parse_response(payload)
-            cls._validate_hello(index, hello, spec)
-        except BaseException:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-            raise
-        chosen = negotiate_codec(hello.get("codec")) if codec == CODEC_BIN else CODEC_JSON
-        return cls(
-            index, reader, writer, chosen, metrics=metrics,
-            on_death=on_death, on_beat=on_beat,
-        )
-
-    @staticmethod
-    def _validate_hello(index: int, hello: dict, spec: ClusterSpec) -> None:
-        schedule = spec.schedule()
-        mismatches = [
-            f"{field}: worker has {got!r}, cluster wants {want!r}"
-            for field, got, want in (
-                ("num_resources", hello.get("num_resources"), spec.num_resources),
-                ("num_shards", hello.get("num_shards"), spec.total_shards),
-                (
-                    "schedule lengths",
-                    hello.get("schedule", {}).get("lengths"),
-                    [t.length for t in schedule],
-                ),
-                (
-                    "schedule costs",
-                    hello.get("schedule", {}).get("costs"),
-                    [t.cost for t in schedule],
-                ),
-                ("record", hello.get("record"), spec.record),
-            )
-            if got != want
-        ]
-        if mismatches:
-            raise ModelError(
-                f"worker {index} config mismatch: " + "; ".join(mismatches)
-            )
-
-    # ------------------------------------------------------------------
-    # Calls
-    # ------------------------------------------------------------------
-    @property
-    def inflight(self) -> int:
-        """Unanswered calls on this link."""
-        return len(self._pending)
-
-    def call(self, op: str, _future: asyncio.Future | None = None, **fields):
-        """A router-originated request; the future resolves to the raw frame.
-
-        ``_future`` lets a supervisor re-attach a caller already awaiting
-        an answer (a call held across a worker respawn) instead of
-        minting a fresh future nobody awaits.
-        """
-        link_id = next(self._ids)
-        future = (
-            _future if _future is not None
-            else asyncio.get_running_loop().create_future()
-        )
-        t0 = self._clock() if self._metrics_on else 0.0
-        payload = request(op, link_id, **fields)
-        self._pending[link_id] = (future, op, payload, t0)
-        self._frames.inc()
-        self.outq.put_nowait(encode_frame(payload, self.codec))
-        return future
-
-    def resend(self, entry: tuple) -> None:
-        """Re-issue one taken pending entry on this (successor) link.
-
-        Mutations travel with ``retry: true`` so a worker that already
-        applied the op before dying answers from its applied-log dedup
-        instead of applying twice; idempotent control reads go verbatim.
-        """
-        future, op, payload, _t0 = entry
-        if future.done():
-            return
-        link_id = next(self._ids)
-        t0 = self._clock() if self._metrics_on else 0.0
-        self._pending[link_id] = (future, op, payload, t0)
-        self._frames.inc()
-        body = {**payload, "id": link_id}
-        if op in MUTATION_OPS:
-            body["retry"] = True
-        self.outq.put_nowait(encode_frame(body, self.codec))
-
-    def take_pending(self) -> list[tuple]:
-        """Strip and return the unanswered calls, oldest (lowest id) first."""
-        pending, self._pending = self._pending, {}
-        return [entry for _link_id, entry in sorted(pending.items())]
-
-    # ------------------------------------------------------------------
-    # Pumps
-    # ------------------------------------------------------------------
-    async def _pump(self) -> None:
-        # Coalescing: one writelines/drain per wakeup moves every frame
-        # queued since the last flush (a tick broadcast, a barrier).
-        outq = self.outq
-        while True:
-            batch = [await outq.get()]
-            while not outq.empty():
-                batch.append(outq.get_nowait())
-            try:
-                self.writer.writelines(batch)
-                await self.writer.drain()
-            except (ConnectionError, RuntimeError, OSError):
-                pass  # reader loop will observe the dead link and fail pending
-
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                payload = await read_frame(self.reader)
-                if payload is None:
-                    break
-                if self._on_beat is not None:
-                    # Any frame off the link is proof of life —
-                    # heartbeat replies and barrier answers alike.
-                    self._on_beat()
-                entry = self._pending.pop(payload.get("id"), None)
-                if entry is None:
-                    continue
-                future, op, _payload, t0 = entry
-                if self._metrics_on:
-                    self._latency_hist(op).observe(self._clock() - t0)
-                if not future.done():
-                    future.set_result(payload)
-        finally:
-            # A supervised link hands its unanswered calls to the slot
-            # for resend after respawn; an unsupervised (or closing) one
-            # fails them.
-            if self._on_death is not None and not self._closing:
-                self._on_death()
+            if kind == "unix":
+                reader, writer = await asyncio.open_unix_connection(
+                    address[0]
+                )
             else:
-                self.fail_pending(f"worker {self.index} connection lost")
-
-    def fail_pending(self, why: str) -> None:
-        pending, self._pending = self._pending, {}
-        if pending:
-            self._failures.inc(len(pending))
-        _fail_futures((entry[0] for entry in pending.values()), why)
-
-    async def close(self) -> None:
-        self._closing = True
-        for task in (self._pump_task, self._read_task):
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self.fail_pending(f"worker {self.index} link closed")
-        self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except Exception:
-            pass
-
-
-def _fail_futures(futures, why: str) -> None:
-    for future in futures:
-        if not future.done():
-            future.set_exception(ServeError("unavailable", why))
+                reader, writer = await asyncio.open_connection(*address)
+            break
+        except OSError:
+            if loop.time() >= deadline:
+                raise
+            # A fixed short poll, not the client's growing backoff: the
+            # router's banner (and a respawn's recovery) waits on it.
+            await asyncio.sleep(0.05)
+    link = AsyncLeaseClient(reader, writer)
+    try:
+        _check_worker_hello(index, await link.negotiate(codec), spec)
+    except BaseException:
+        # A refused handshake must not leak the fresh connection.
+        await link.close()
+        raise
+    return link
 
 
 class _WorkerSlot:
-    """One worker's seat at the router: a link, supervised or not.
+    """One worker's seat at the router: its link, supervised or not.
 
-    Unsupervised (no ``respawn`` callback) the slot is a pass-through to
-    its link and a dead worker fails its in-flight calls.  Supervised,
-    the slot owns recovery: on link death it takes the unanswered calls,
-    holds new ones in a bounded queue, restarts the worker through
-    ``respawn`` (in an executor — it forks processes) with jittered
-    exponential backoff, reconnects, resends the taken calls
-    oldest-first with the ``retry`` marker, then sends the held calls in
-    arrival order.  Exhausting ``max_respawns`` fails everything with
-    typed ``unavailable``.
+    ``state`` is ``up``, ``recovering`` (supervised, between a death and
+    the successor's link) or ``down`` (unsupervised after a death, or
+    past :data:`MAX_RESPAWNS`); see the module docstring.
     """
-
-    __slots__ = (
-        "index", "path", "spec", "codec_pref", "retry_for", "link",
-        "state", "respawn", "hold_limit", "max_respawns", "backoff_base",
-        "backoff_cap", "heartbeat_every", "heartbeat_timeout", "_held",
-        "_registry", "_recover_task", "_heartbeat_task", "_closing",
-        "_deaths", "_respawns", "_held_counter", "respawns_done",
-        "redriven_frames", "respawn_failures", "heartbeat_errors",
-        "liveness",
-    )
 
     def __init__(
         self,
@@ -395,14 +181,8 @@ class _WorkerSlot:
         codec_pref: str,
         retry_for: float,
         registry: MetricsRegistry,
+        liveness: WorkerLiveness,
         respawn=None,
-        hold_limit: int = 4096,
-        max_respawns: int = 5,
-        backoff_base: float = 0.1,
-        backoff_cap: float = 2.0,
-        heartbeat_every: float = 2.0,
-        heartbeat_timeout: float = 10.0,
-        liveness: WorkerLiveness | None = None,
     ):
         self.index = index
         # Normalised endpoint string ("unix:<path>" / "tcp:<host>:<port>"):
@@ -413,17 +193,19 @@ class _WorkerSlot:
         self.liveness = liveness
         self.codec_pref = codec_pref
         self.retry_for = retry_for
-        self.link: _WorkerLink | None = None
+        self.link: AsyncLeaseClient | None = None
         self.state = "up"
         self.respawn = respawn
-        self.hold_limit = hold_limit
-        self.max_respawns = max_respawns
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.heartbeat_every = heartbeat_every
-        self.heartbeat_timeout = heartbeat_timeout
-        self._held: deque = deque()
+        #: Calls inside :meth:`call_checked`, waiting ones included.
+        self.inflight = 0
+        self._waiting = 0
+        self._recovered = asyncio.Event()
         self._registry = registry
+        self._metrics_on = registry.enabled
+        self._clock = registry.clock
+        self._latency: dict = {}
+        self._frames = None
+        self._watch_task: asyncio.Task | None = None
         self._recover_task: asyncio.Task | None = None
         self._heartbeat_task: asyncio.Task | None = None
         self._closing = False
@@ -435,6 +217,11 @@ class _WorkerSlot:
         self.redriven_frames = 0
         self.respawn_failures = 0
         self.heartbeat_errors = 0
+        self._failures = registry.counter(
+            "cluster_link_failures_total",
+            help="In-flight ops failed because the worker link died.",
+            worker=str(index),
+        )
         self._deaths = registry.counter(
             "cluster_worker_deaths_total",
             help="Times the router found this worker's link dead.",
@@ -455,61 +242,115 @@ class _WorkerSlot:
     def supervised(self) -> bool:
         return self.respawn is not None
 
-    def _beat(self) -> None:
-        if self.liveness is not None:
-            self.liveness.beat(self.index)
-
-    async def _open_link(self, endpoint: str) -> _WorkerLink:
-        return await _WorkerLink.open(
-            self.index, endpoint, self.spec, retry_for=self.retry_for,
-            codec=self.codec_pref, metrics=self._registry,
-            on_death=self._link_died if self.supervised else None,
-            on_beat=self._beat if self.liveness is not None else None,
-        )
-
-    async def open(self) -> None:
-        """Dial the worker and, when supervised, start the heartbeat."""
-        self.link = await self._open_link(self.path)
-        self._beat()
-        if self.supervised and self._heartbeat_task is None:
-            self._heartbeat_task = asyncio.create_task(self._heartbeat())
-
-    # ------------------------------------------------------------------
-    # The link surface the router calls through
-    # ------------------------------------------------------------------
     @property
     def codec(self) -> str:
         link = self.link
         return link.codec if link is not None else self.codec_pref
 
-    @property
-    def inflight(self) -> int:
-        link = self.link
-        return (link.inflight if link is not None else 0) + len(self._held)
+    def _beat(self) -> None:
+        self.liveness.beat(self.index)
 
-    def call(self, op: str, **fields) -> asyncio.Future:
-        if self.state == "up":
-            return self.link.call(op, **fields)
-        future = asyncio.get_running_loop().create_future()
-        if self.state == "recovering" and len(self._held) < self.hold_limit:
-            self._held_counter.inc()
-            self._held.append((op, fields, future))
-        elif self.state == "recovering":
-            future.set_exception(ServeError(
-                "backpressure",
-                f"worker {self.index} is recovering with "
-                f"{len(self._held)} frames already held "
-                f"(hold limit {self.hold_limit})",
-            ))
-        else:
-            future.set_exception(ServeError(
-                "unavailable",
-                f"worker {self.index} is gone (respawn budget exhausted)",
-            ))
-        return future
+    def _latency_hist(self, op: str):
+        hist = self._latency.get(op)
+        if hist is None:
+            hist = self._latency[op] = self._registry.histogram(
+                "cluster_relay_latency_seconds",
+                help="Router-observed latency from send to worker reply.",
+                op=op,
+                worker=str(self.index),
+            )
+        return hist
 
+    async def open(self) -> None:
+        """Dial the worker and, when supervised, start the heartbeat."""
+        self._install(await _open_link(
+            self.index, self.path, self.spec, self.retry_for,
+            self.codec_pref,
+        ))
+        if self.supervised and self._heartbeat_task is None:
+            self._heartbeat_task = asyncio.create_task(self._heartbeat())
+
+    def _install(self, link: AsyncLeaseClient) -> None:
+        self.link = link
+        self.state = "up"
+        self._frames = self._registry.counter(
+            "cluster_worker_frames_total",
+            help="Frames the router sent to this worker, by wire codec.",
+            worker=str(self.index),
+            codec=link.codec,
+        )
+        self._watch_task = asyncio.create_task(self._watch(link))
+        self._beat()
+
+    # ------------------------------------------------------------------
+    # Calls
+    # ------------------------------------------------------------------
     async def call_checked(self, op: str, **fields) -> dict:
-        return parse_response(await self.call(op, **fields))
+        """One call to the worker; its result, or the ServeError it drew."""
+        self.inflight += 1
+        try:
+            link = self.link
+            while True:
+                if link is None:
+                    link = await self._successor()
+                self._frames.inc()
+                t0 = self._clock() if self._metrics_on else 0.0
+                try:
+                    result = await link.call(op, **fields)
+                except ServeError:
+                    self._beat()
+                    raise
+                except OSError:
+                    # ConnectionError included: the link died under the
+                    # call, before or after the worker read it.
+                    self._link_died(link)
+                    if not self.supervised or self._closing:
+                        self._failures.inc()
+                        raise self._gone() from None
+                    if op in MUTATION_OPS:
+                        # The dead worker may have applied it: the
+                        # successor's applied-log dedup makes the resend
+                        # exactly-once.
+                        fields["retry"] = True
+                    link = None
+                    continue
+                self._beat()
+                if self._metrics_on:
+                    self._latency_hist(op).observe(self._clock() - t0)
+                return result
+        finally:
+            self.inflight -= 1
+
+    async def _successor(self) -> AsyncLeaseClient:
+        """The live link, once any recovery under way has finished."""
+        if self.state == "recovering" and not self._closing:
+            if self._waiting >= HOLD_LIMIT:
+                raise ServeError(
+                    "backpressure",
+                    f"worker {self.index} is recovering with "
+                    f"{self._waiting} calls already waiting "
+                    f"(hold limit {HOLD_LIMIT})",
+                )
+            self._waiting += 1
+            self._held_counter.inc()
+            try:
+                while self.state == "recovering":
+                    await self._recovered.wait()
+            finally:
+                self._waiting -= 1
+        if self.state != "up" or self._closing:
+            raise self._gone()
+        self.redriven_frames += 1
+        return self.link
+
+    def _gone(self) -> ServeError:
+        if self._closing:
+            why = "router is shutting down"
+        elif self.supervised:
+            why = f"did not come back after {MAX_RESPAWNS} respawn attempts"
+        else:
+            why = "connection lost"
+        return ServeError("unavailable", f"worker {self.index}: {why}")
 
     def begin_shutdown(self) -> None:
         """Stop treating link EOF as worker death: shutdown is expected.
@@ -526,107 +367,90 @@ class _WorkerSlot:
     # ------------------------------------------------------------------
     # Death, recovery, heartbeat
     # ------------------------------------------------------------------
-    def _link_died(self) -> None:
-        link = self.link
-        if link is None or self._closing:
-            return
-        self.link = None
-        self.state = "recovering"
-        if self.liveness is not None:
-            self.liveness.declare_dead(self.index)
-        self._deaths.inc()
-        pending = link.take_pending()
-        self._recover_task = asyncio.create_task(self._recover(link, pending))
+    async def _watch(self, link: AsyncLeaseClient) -> None:
+        # Read-EOF death detection: the kernel closes a dead process's
+        # sockets, so the link's reader stops at once.
+        await link.wait_closed()
+        self._link_died(link)
 
-    async def _recover(self, dead_link: _WorkerLink, pending: list) -> None:
+    def _link_died(self, link: AsyncLeaseClient) -> None:
+        if link is not self.link or self._closing:
+            return  # already handled, or an expected shutdown EOF
+        self.link = None
+        self.state = "recovering" if self.supervised else "down"
+        self.liveness.declare_dead(self.index)
+        self._deaths.inc()
+        self._recovered.clear()
+        self._recover_task = asyncio.create_task(self._recover(link))
+
+    async def _recover(self, dead: AsyncLeaseClient) -> None:
         try:
-            await dead_link.close()
+            # Closing fails whatever else was in flight on the dead
+            # link, so those calls join the wait for its successor.
+            await dead.close()
+            if not self.supervised:
+                return
             loop = asyncio.get_running_loop()
-            delay = self.backoff_base
-            for attempt in range(1, self.max_respawns + 1):
+            delay = RESPAWN_BACKOFF
+            for attempt in range(1, MAX_RESPAWNS + 1):
                 try:
                     path = await loop.run_in_executor(
                         None, self.respawn, self.index
                     )
-                    link = await self._open_link(path)
-                except asyncio.CancelledError:
-                    raise
+                    kind, address = parse_worker_endpoint(str(path))
+                    path = format_endpoint(kind, *address)
+                    link = await _open_link(
+                        self.index, path, self.spec, self.retry_for,
+                        self.codec_pref,
+                    )
                 except Exception:
                     self.respawn_failures += 1
-                    if attempt == self.max_respawns:
-                        break
-                    await asyncio.sleep(delay * (0.5 + random.random()))
-                    delay = min(delay * 2, self.backoff_cap)
+                    if attempt < MAX_RESPAWNS:
+                        await asyncio.sleep(delay * (0.5 + random.random()))
+                        delay = min(delay * 2, RESPAWN_BACKOFF_CAP)
                     continue
                 self._respawns.inc()
                 self.respawns_done += 1
-                kind, address = parse_worker_endpoint(str(path))
-                self.path = format_endpoint(kind, *address)
-                self._beat()
-                # No awaits from here to the state flip: resends and the
-                # held calls land in the link queue atomically, keeping
-                # their order across the crash.
-                for entry in pending:
-                    link.resend(entry)
-                held, self._held = self._held, deque()
-                self.redriven_frames += len(pending) + len(held)
-                for op, fields, future in held:
-                    if not future.done():
-                        link.call(op, _future=future, **fields)
-                self.link = link
-                self.state = "up"
+                self.path = path
+                self._install(link)
                 return
-            self.state = "down"
-            self._fail_all(
-                pending,
-                f"worker {self.index} did not come back after "
-                f"{self.max_respawns} respawn attempts",
-            )
-        except asyncio.CancelledError:
-            self._fail_all(pending, "router is shutting down")
-            raise
-
-    def _fail_all(self, pending: list, why: str) -> None:
-        held, self._held = self._held, deque()
-        _fail_futures(
-            itertools.chain(
-                (entry[0] for entry in pending),
-                (future for _op, _fields, future in held),
-            ),
-            why,
-        )
+        finally:
+            if self.state == "recovering":
+                self.state = "down"
+            self._recovered.set()
 
     async def _heartbeat(self) -> None:
         # Read-EOF catches a dead process instantly; the heartbeat is
         # for the hung-but-alive worker, whose socket never closes.  A
-        # timed-out hello severs the link so the EOF path takes over.
+        # timed-out hello closes the link so the death path takes over.
         while True:
-            await asyncio.sleep(self.heartbeat_every)
+            await asyncio.sleep(HEARTBEAT_EVERY)
             link = self.link
             if link is None or self._closing:
                 continue
-            future = link.call("hello")
             try:
                 await asyncio.wait_for(
-                    asyncio.shield(future), timeout=self.heartbeat_timeout
+                    self.call_checked("hello"), timeout=HEARTBEAT_TIMEOUT
                 )
             except asyncio.TimeoutError:
-                link.writer.close()
+                await link.close()
             except Exception:
                 self.heartbeat_errors += 1
 
     async def close(self) -> None:
         self._closing = True
-        for task in (self._heartbeat_task, self._recover_task):
+        for task in (
+            self._heartbeat_task, self._recover_task, self._watch_task
+        ):
             if task is not None:
                 task.cancel()
                 try:
                     await task
                 except (asyncio.CancelledError, Exception):
                     pass
-        self._fail_all([], "router is shutting down")
         if self.link is not None:
             await self.link.close()
+            self.link = None
 
 
 class ClusterRouter:
@@ -643,19 +467,14 @@ class ClusterRouter:
             restarts a dead worker and returns the socket to redial
             (see :func:`~repro.cluster.procs.make_respawner`).  Enables
             supervision: worker death is detected (read-EOF plus
-            heartbeat), the worker restarted with backoff, in-flight
-            calls resent with the ``retry`` marker, and new calls held
-            meanwhile.  ``None`` keeps the fail-fast contract: a dead
-            worker fails its in-flight calls as ``unavailable``.
-        hold_limit: bound on calls held per recovering worker; beyond
-            it new calls draw ``backpressure`` refusals.
-        max_respawns: respawn attempts per death before the worker is
-            declared gone and its calls failed.
-        respawn_backoff: base of the jittered exponential backoff
-            (seconds) between failed respawn attempts.
-        heartbeat_every: seconds between supervision heartbeats.
-        heartbeat_timeout: unanswered-heartbeat window after which a
-            hung worker's link is severed to force recovery.
+            heartbeat), the worker restarted with backoff, and calls
+            wait for it and are sent again (in-flight mutations with
+            the ``retry`` marker).  ``None`` keeps the fail-fast
+            contract: a call to a dead worker fails as ``unavailable``.
+            The module constants :data:`HOLD_LIMIT`,
+            :data:`MAX_RESPAWNS`, :data:`RESPAWN_BACKOFF`,
+            :data:`HEARTBEAT_EVERY` and :data:`HEARTBEAT_TIMEOUT` shape
+            the supervision.
         collect_worker_metrics: fold each worker's *own* scrape (its
             ``metrics`` verb, live histograms included) into the
             router's exposition, every sample relabeled with
@@ -669,20 +488,11 @@ class ClusterRouter:
         spec: ClusterSpec,
         metrics: MetricsRegistry | None = None,
         respawn=None,
-        hold_limit: int = 4096,
-        max_respawns: int = 5,
-        respawn_backoff: float = 0.1,
-        heartbeat_every: float = 2.0,
-        heartbeat_timeout: float = 10.0,
         collect_worker_metrics: bool = False,
         history: MetricsHistory | None = None,
         profiler: SamplingProfiler | None = None,
         liveness: WorkerLiveness | None = None,
     ):
-        if hold_limit < 1:
-            raise ModelError("hold_limit must be >= 1")
-        if max_respawns < 1:
-            raise ModelError("max_respawns must be >= 1")
         self.spec = spec
         # Control-plane health state: beats ride every frame the links
         # read, states derive from the tracker's (injectable) clock.
@@ -694,11 +504,6 @@ class ClusterRouter:
             enabled=False
         )
         self.respawn = respawn
-        self.hold_limit = hold_limit
-        self.max_respawns = max_respawns
-        self.respawn_backoff = respawn_backoff
-        self.heartbeat_every = heartbeat_every
-        self.heartbeat_timeout = heartbeat_timeout
         self.collect_worker_metrics = collect_worker_metrics
         # Same live-debugging surface as a single server: a snapshot
         # ring over the router's registry and an off-until-asked
@@ -752,19 +557,13 @@ class ClusterRouter:
             for index, path in enumerate(paths):
                 slot = _WorkerSlot(
                     index, path, self.spec, codec, retry_for, self.metrics,
-                    respawn=self.respawn,
-                    hold_limit=self.hold_limit,
-                    max_respawns=self.max_respawns,
-                    backoff_base=self.respawn_backoff,
-                    heartbeat_every=self.heartbeat_every,
-                    heartbeat_timeout=self.heartbeat_timeout,
-                    liveness=self.liveness,
+                    self.liveness, respawn=self.respawn,
                 )
                 await slot.open()
                 self._slots.append(slot)
         except BaseException:
-            # One bad worker must not strand the slots (and their pump
-            # tasks) already opened to the good ones.
+            # One bad worker must not strand the slots (and their
+            # reader tasks) already opened to the good ones.
             for slot in self._slots:
                 await slot.close()
             self._slots.clear()
@@ -836,12 +635,9 @@ class ClusterRouter:
             for slot in self._slots:
                 slot.begin_shutdown()
             # One concurrent broadcast bounds the whole phase at the
-            # timeout even when several workers hang.  Slots without a
-            # live link have nothing to shut down over the wire — the
-            # caller reaps their processes.
+            # timeout even when several workers hang.  A slot without a
+            # live link refuses at once; the caller reaps its process.
             async def _stop_worker(slot: _WorkerSlot) -> None:
-                if slot.link is None:
-                    return
                 try:
                     await asyncio.wait_for(
                         slot.call_checked("shutdown"), timeout=10.0
@@ -939,8 +735,8 @@ class ClusterRouter:
 
         A traced tick propagates its context verbatim to every worker —
         the broadcast is fan-out, so the workers' dispatch spans parent
-        to the client span directly.  (A recovering slot holds its tick
-        in the same FIFO as its other calls.)
+        to the client span directly.  (A recovering slot's tick waits
+        for the respawned worker like its other calls.)
         """
         when = field_time(payload)
         if self._state == "stopped":

@@ -171,7 +171,14 @@ class AsyncLeaseClient:
         )
 
     async def call(self, op: str, **fields: Any) -> dict:
-        """One request/response round trip; pipelines freely across tasks."""
+        """One request/response round trip; pipelines freely across tasks.
+
+        Raises :class:`ConnectionError` once the reader has stopped: over
+        TCP a write after the peer's FIN still succeeds, and nothing
+        would ever answer the call.
+        """
+        if self._reader_task.done():
+            raise ConnectionError("server closed the connection")
         request_id = next(self._ids)
         span = self._start_span(op, fields)
         future = asyncio.get_running_loop().create_future()
@@ -205,8 +212,11 @@ class AsyncLeaseClient:
         syscall's worth of flushing instead of one per op — while the
         responses pipeline back as usual.  Returns one entry per request
         in request order: the result dict or the :class:`ServeError` that
-        request drew.
+        request drew.  A dead connection raises :class:`ConnectionError`,
+        as :meth:`call` does.
         """
+        if self._reader_task.done():
+            raise ConnectionError("server closed the connection")
         loop = asyncio.get_running_loop()
         ids: list[int] = []
         futures: list[asyncio.Future] = []
@@ -226,32 +236,49 @@ class AsyncLeaseClient:
             self._pending[request_id] = future
             futures.append(future)
             frames.append(frame)
+        results: list[dict | ServeError] = []
         try:
             async with self._send_lock:
                 self._writer.writelines(frames)
                 await self._writer.drain()
+            for request_id, future, span in zip(ids, futures, spans):
+                try:
+                    results.append(parse_response(await future))
+                except ServeError as exc:
+                    results.append(exc)
+                finally:
+                    if span is not None:
+                        self._finish_span(span, request_id)
         except BaseException:
-            for request_id in ids:
+            # The connection died (or the caller was cancelled) mid-batch:
+            # unregister and settle every future, so none is left pending
+            # or with an exception nobody retrieves.
+            for request_id, future in zip(ids, futures):
                 self._pending.pop(request_id, None)
+                if not future.done():
+                    future.cancel()
+                elif not future.cancelled():
+                    future.exception()
             raise
-        results: list[dict | ServeError] = []
-        for request_id, future, span in zip(ids, futures, spans):
-            try:
-                results.append(parse_response(await future))
-            except ServeError as exc:
-                results.append(exc)
-            finally:
-                if span is not None:
-                    self._finish_span(span, request_id)
         return results
+
+    async def wait_closed(self) -> None:
+        """Return once the reader has stopped: the peer hung up, the
+        stream broke, or :meth:`close` ran.  Calls made after that raise
+        :class:`ConnectionError`."""
+        await asyncio.wait((self._reader_task,))
 
     async def close(self) -> None:
         self._reader_task.cancel()
         try:
-            await self._reader_task
-        except (asyncio.CancelledError, Exception):
-            pass
-        self._writer.close()
+            # Not ``await self._reader_task``: that would swallow a
+            # cancellation of close()'s own caller along with the
+            # reader's.
+            await self.wait_closed()
+        finally:
+            self._writer.close()
+        if not self._reader_task.cancelled():
+            self._reader_task.exception()  # its failure reached every call
         try:
             await self._writer.wait_closed()
         except Exception:
@@ -303,6 +330,11 @@ class AsyncLeaseClient:
 #: stampeding each backoff tick together.
 CONNECT_BACKOFF_BASE = 0.02
 CONNECT_BACKOFF_CAP = 0.5
+
+
+#: Seconds a :class:`DirectLeaseClient` keeps re-handshaking for a dead
+#: worker to come back before it raises :class:`LeaseRetryError`.
+RECOVER_FOR = 60.0
 
 
 def _next_backoff(delay: float) -> tuple[float, float]:
@@ -364,20 +396,14 @@ class DirectLeaseClient:
     after a ``kill -9`` is a *new process* behind the old address; the
     route table's ``epoch`` (total respawns fleet-wide) moves exactly
     then.  A mutation that hits a dead link re-handshakes — repeatedly,
-    within ``recover_for``, until the route table shows the owning
+    within :data:`RECOVER_FOR`, until the route table shows the owning
     worker ``up`` again — redials, and resends the op *marked*
     ``retry=True``, so a WAL'd worker's applied-identity dedup answers
     an already-applied op from its log instead of applying it twice:
     exactly-once, end to end, without the router buffering anything.
     Closed-loop tenants have at most one op in flight, so the resend
-    can never reorder a tenant's stream.
-
-    ``heartbeat_every`` (seconds), when set, starts a background task
-    that periodically repeats the ``route`` call carrying the cached
-    epoch — a liveness beat for the router's tracker and an early
-    staleness probe for the client (a ``stale-route`` answer triggers
-    re-handshake before the data path ever notices).  Tests drive the
-    same probe deterministically through :meth:`check_route`.
+    can never reorder a tenant's stream.  :meth:`check_route` probes the
+    cached epoch on demand.
     """
 
     def __init__(
@@ -385,14 +411,11 @@ class DirectLeaseClient:
         control: AsyncLeaseClient,
         codec: str | None = None,
         retry_for: float = 5.0,
-        recover_for: float = 60.0,
-        heartbeat_every: float | None = None,
         trace: TraceSink | None = None,
     ):
         self._control = control
         self._codec = codec
         self._retry_for = retry_for
-        self._recover_for = recover_for
         self._trace = trace
         self._route: dict | None = None
         self._los: list[int] = []
@@ -403,11 +426,6 @@ class DirectLeaseClient:
         self.handshakes = 0
         #: Mutations resent (marked ``retry``) after a dead data link.
         self.retried_ops = 0
-        self._heartbeat_task: asyncio.Task | None = None
-        if heartbeat_every is not None:
-            self._heartbeat_task = asyncio.create_task(
-                self._heartbeat_loop(heartbeat_every)
-            )
 
     # ------------------------------------------------------------------
     # Construction
@@ -415,35 +433,24 @@ class DirectLeaseClient:
     @classmethod
     async def open_unix(
         cls, path: str, retry_for: float = 5.0, codec: str | None = None,
-        recover_for: float = 60.0, heartbeat_every: float | None = None,
         trace: TraceSink | None = None,
     ) -> "DirectLeaseClient":
         control = await AsyncLeaseClient.open_unix(
             path, retry_for=retry_for, codec=codec, trace=trace
         )
-        client = cls(
-            control, codec=codec, retry_for=retry_for,
-            recover_for=recover_for, heartbeat_every=heartbeat_every,
-            trace=trace,
-        )
+        client = cls(control, codec=codec, retry_for=retry_for, trace=trace)
         await client.handshake()
         return client
 
     @classmethod
     async def open_tcp(
         cls, host: str, port: int, retry_for: float = 5.0,
-        codec: str | None = None, recover_for: float = 60.0,
-        heartbeat_every: float | None = None,
-        trace: TraceSink | None = None,
+        codec: str | None = None, trace: TraceSink | None = None,
     ) -> "DirectLeaseClient":
         control = await AsyncLeaseClient.open_tcp(
             host, port, retry_for=retry_for, codec=codec, trace=trace
         )
-        client = cls(
-            control, codec=codec, retry_for=retry_for,
-            recover_for=recover_for, heartbeat_every=heartbeat_every,
-            trace=trace,
-        )
+        client = cls(control, codec=codec, retry_for=retry_for, trace=trace)
         await client.handshake()
         return client
 
@@ -490,11 +497,10 @@ class DirectLeaseClient:
             return self._route
 
     async def check_route(self) -> bool:
-        """One heartbeat: probe the cached epoch, re-handshake if stale.
+        """Probe the cached epoch; re-handshake if stale.
 
         Returns ``True`` when the probe found the table stale (and the
-        re-handshake installed a fresh one) — the deterministic form of
-        what the background heartbeat does on a timer.
+        re-handshake installed a fresh one).
         """
         if self._route is None:
             await self.handshake()
@@ -507,16 +513,6 @@ class DirectLeaseClient:
                 raise
             await self.handshake()
             return True
-
-    async def _heartbeat_loop(self, every: float) -> None:
-        while True:
-            await asyncio.sleep(every)
-            try:
-                await self.check_route()
-            except (ConnectionError, OSError, ServeError):
-                # The control link itself may be mid-restart; the next
-                # beat (or the data path's own recovery) retries.
-                pass
 
     def worker_of(self, resource: int) -> int:
         """The worker index owning ``resource`` per the cached table."""
@@ -579,10 +575,10 @@ class DirectLeaseClient:
         dedup makes the pair exactly-once.  Keeps re-handshaking (the
         router's supervision is respawning the worker meanwhile) until
         the table shows the owner ``up`` and a fresh dial succeeds, for
-        at most ``recover_for`` seconds.
+        at most :data:`RECOVER_FOR` seconds.
         """
         self._drop_link(index)
-        deadline = time.monotonic() + self._recover_for
+        deadline = time.monotonic() + RECOVER_FOR
         delay = CONNECT_BACKOFF_BASE
         while True:
             try:
@@ -599,7 +595,7 @@ class DirectLeaseClient:
             if now >= deadline:
                 raise LeaseRetryError(
                     f"{op!r} not recoverable: worker {index} did not come "
-                    f"back within {self._recover_for}s",
+                    f"back within {RECOVER_FOR}s",
                     attempts=1,
                 )
             sleep, delay = _next_backoff(delay)
@@ -627,12 +623,6 @@ class DirectLeaseClient:
         return await self._control.report()
 
     async def close(self) -> None:
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.cancel()
-            try:
-                await self._heartbeat_task
-            except (asyncio.CancelledError, Exception):
-                pass
         for index in list(self._links):
             link = self._links.pop(index)
             await link.close()

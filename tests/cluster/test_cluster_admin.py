@@ -7,12 +7,14 @@ import asyncio
 import json
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.admin import AdminPlane
 from repro.cluster import ClusterRouter, ClusterSpec
+from repro.cluster import router as router_module
 from repro.cluster.loadgen import build_cluster_instance, cluster_once
 from repro.cluster.procs import (
     make_respawner,
@@ -33,6 +35,7 @@ from repro.serve import (
     AsyncLeaseClient,
     DirectLeaseClient,
     LeaseServer,
+    ServeError,
     merge_shard_payloads,
     replay_applied,
 )
@@ -305,6 +308,50 @@ class TestSupervisionMetrics:
             ].samples
         }
         assert redriven == {"0": 0.0, "1": 5.0}
+
+
+    def test_exhausted_respawn_budget_fails_waiting_calls(
+        self, workdir, monkeypatch
+    ):
+        """A respawn callback that always fails: a call waiting for the
+        worker gets typed ``unavailable`` once ``MAX_RESPAWNS`` attempts
+        are spent, and ``/healthz`` shows the slot ``down``."""
+        monkeypatch.setattr(router_module, "MAX_RESPAWNS", 2)
+        monkeypatch.setattr(router_module, "RESPAWN_BACKOFF", 0.01)
+        spec = ClusterSpec(4, 2, 1)
+        attempts = []
+
+        def respawn(index: int) -> str:
+            # Slow enough that the tick below arrives mid-recovery.
+            attempts.append(index)
+            time.sleep(0.2)
+            raise RuntimeError("the worker will not start")
+
+        async def main():
+            servers, paths = await _start_workers(spec, workdir)
+            router, plane = await _mounted_router(
+                spec, paths, respawn=respawn
+            )
+            await servers[1].shutdown()
+            while router.admin_health()["workers"][1]["slot"] != "recovering":
+                await asyncio.sleep(0.005)
+            try:
+                await asyncio.wait_for(
+                    router.admin_drain(1), timeout=5.0
+                )
+                refusal = None
+            except ServeError as exc:
+                refusal = exc
+            health = json.loads((await _http(plane.port, "GET", "/healthz"))[1])
+            await plane.close()
+            await router.shutdown()
+            return refusal, health
+
+        refusal, health = asyncio.run(main())
+        assert attempts == [1, 1]
+        assert refusal is not None and refusal.kind == "unavailable"
+        assert "2 respawn attempts" in refusal.message
+        assert [w["slot"] for w in health["workers"]] == ["up", "down"]
 
 
 class TestWorkerMetricsFold:

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ClusterRouter, ClusterSpec
+from repro.cluster import router as router_module
 from repro.core import LeaseSchedule
 from repro.errors import ModelError
 from repro.obs import MetricsRegistry, parse_exposition, validate_exposition
@@ -269,10 +270,9 @@ class TestRouterMetrics:
         assert "cluster_relay_latency_seconds" not in families
 
 
-async def _stub_worker(path: str, spec: ClusterSpec):
-    """A fake worker: a valid hello, then silence for every other op."""
+def _stub_hello(spec: ClusterSpec) -> dict:
     schedule = spec.schedule()
-    hello = {
+    return {
         "server": "stub",
         "codec": "json",
         "num_resources": spec.num_resources,
@@ -284,6 +284,11 @@ async def _stub_worker(path: str, spec: ClusterSpec):
             "costs": [t.cost for t in schedule],
         },
     }
+
+
+async def _stub_worker(path: str, spec: ClusterSpec):
+    """A fake worker: a valid hello, then silence for every other op."""
+    hello = _stub_hello(spec)
 
     async def handle(reader, writer):
         while True:
@@ -394,9 +399,10 @@ class TestBoundedRequestReader:
 
 
 class TestSupervisionTallies:
-    def test_failed_respawn_attempt_is_counted(self, workdir):
+    def test_failed_respawn_attempt_is_counted(self, workdir, monkeypatch):
         """A respawn callback that fails once and then succeeds: the
         worker comes back and the scrape counts the failed attempt."""
+        monkeypatch.setattr(router_module, "RESPAWN_BACKOFF", 0.01)
         spec = ClusterSpec(4, 2, 1)
 
         async def main():
@@ -425,7 +431,7 @@ class TestSupervisionTallies:
 
             router, router_sock, servers = (
                 await _router_over_inprocess_workers(
-                    spec, workdir, respawn=respawn, respawn_backoff=0.01
+                    spec, workdir, respawn=respawn
                 )
             )
             await servers[1].shutdown()
@@ -461,6 +467,184 @@ class TestSupervisionTallies:
         assert by_worker("cluster_heartbeat_errors_total") == {
             "0": 0.0, "1": 0.0,
         }
+
+
+async def _silent_worker(path: str, spec: ClusterSpec, seen: list):
+    """A fake worker that answers the connect hello, then goes silent:
+    it keeps reading (recording each op in ``seen``) and never answers."""
+
+    async def handle(reader, writer):
+        payload = await read_frame(reader)
+        if payload is None:
+            return
+        await write_frame(writer, ok(payload.get("id"), _stub_hello(spec)))
+        while (payload := await read_frame(reader)) is not None:
+            seen.append(payload.get("op"))
+        writer.close()
+
+    return await asyncio.start_unix_server(handle, path=path)
+
+
+def _threaded_respawn(loop, restart, attempts: list):
+    """A ``respawn`` callback that, like a real one, runs in an executor
+    thread: it records the attempt, runs ``restart(index)`` on the
+    test's loop and returns its endpoint."""
+
+    def respawn(index: int) -> str:
+        attempts.append(index)
+        return asyncio.run_coroutine_threadsafe(
+            restart(index), loop
+        ).result(timeout=10)
+
+    return respawn
+
+
+async def _until(condition, timeout: float = 5.0) -> None:
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.005)
+
+
+class TestSupervision:
+    """The slot's dead-link paths, with the supervision constants
+    patched small so each runs in well under a second."""
+
+    def test_unsupervised_dead_worker_answers_unavailable(self, workdir):
+        """No respawn callback: a tick to a fleet with a dead worker is
+        refused with typed ``unavailable`` instead of waiting forever,
+        and the slot reads ``down``."""
+        spec = ClusterSpec(4, 2, 1)
+
+        async def main():
+            router, router_sock, servers = (
+                await _router_over_inprocess_workers(spec, workdir)
+            )
+            await servers[1].shutdown()
+            client = await AsyncLeaseClient.open_unix(router_sock)
+            refusals = []
+            for day in (1, 2):
+                try:
+                    await asyncio.wait_for(client.tick(day), timeout=5.0)
+                except ServeError as exc:
+                    refusals.append(exc)
+            health = router.admin_health()
+            await client.close()
+            await router.shutdown()
+            return refusals, health
+
+        refusals, health = asyncio.run(main())
+        assert [exc.kind for exc in refusals] == ["unavailable"] * 2
+        assert [w["slot"] for w in health["workers"]] == ["up", "down"]
+
+    def test_hung_worker_is_cut_off_by_the_heartbeat(
+        self, workdir, monkeypatch
+    ):
+        """A worker that answers the connect hello and then goes silent:
+        the heartbeat times out, the slot respawns it, and the tick that
+        was stuck on the silent link completes once, on the successor."""
+        monkeypatch.setattr(router_module, "HEARTBEAT_EVERY", 0.3)
+        monkeypatch.setattr(router_module, "HEARTBEAT_TIMEOUT", 1.0)
+        spec = ClusterSpec(4, 2, 1)
+
+        async def main():
+            servers, paths = await _start_inprocess_workers(spec, workdir)
+            await servers[1].shutdown()
+            seen = []
+            silent = await _silent_worker(paths[1], spec, seen)
+            successor = {}
+
+            async def restart(index: int) -> str:
+                silent.close()
+                server = LeaseServer(
+                    spec.schedule(),
+                    num_resources=spec.num_resources,
+                    num_shards=spec.total_shards,
+                    record=spec.record,
+                )
+                await server.start_unix(paths[index])
+                successor["server"] = server
+                return paths[index]
+
+            attempts = []
+            router = ClusterRouter(spec, respawn=_threaded_respawn(
+                asyncio.get_running_loop(), restart, attempts
+            ))
+            await router.connect_workers(paths)
+            router_sock = str(workdir / "router.sock")
+            await router.start_unix(router_sock)
+            client = await AsyncLeaseClient.open_unix(router_sock)
+            tick = await asyncio.wait_for(client.tick(1), timeout=5.0)
+            epoch = router.route_epoch
+            report = await client.report()
+            await client.close()
+            await router.shutdown()
+            return seen, attempts, tick, epoch, report
+
+        seen, attempts, tick, epoch, report = asyncio.run(main())
+        assert "tick" in seen, "the tick reached the silent worker"
+        assert "hello" in seen, "the heartbeat probed it"
+        assert attempts == [1]
+        assert epoch == 1
+        assert tick["applied_time"] == 1
+        # Worker 1's shard is the successor's, and it applied one tick.
+        assert report["shards"][1]["stats"]["ticks"] == 1
+
+    def test_calls_past_the_hold_limit_draw_backpressure(
+        self, workdir, monkeypatch
+    ):
+        """With ``HOLD_LIMIT = 1``, one call waits out the respawn and
+        completes on the successor; a second one is refused."""
+        monkeypatch.setattr(router_module, "HOLD_LIMIT", 1)
+        spec = ClusterSpec(4, 2, 1)
+
+        async def main():
+            release = asyncio.Event()
+            attempts = []
+
+            async def restart(index: int) -> str:
+                await release.wait()
+                path = str(workdir / f"w{index}.sock")
+                server = LeaseServer(
+                    spec.schedule(),
+                    num_resources=spec.num_resources,
+                    num_shards=spec.total_shards,
+                    record=spec.record,
+                )
+                await server.start_unix(path)
+                return path
+
+            router, router_sock, servers = (
+                await _router_over_inprocess_workers(
+                    spec, workdir, respawn=_threaded_respawn(
+                        asyncio.get_running_loop(), restart, attempts
+                    ),
+                )
+            )
+            await servers[1].shutdown()
+            await _until(lambda: attempts == [1])
+            first = await AsyncLeaseClient.open_unix(router_sock)
+            second = await AsyncLeaseClient.open_unix(router_sock)
+            waiting = asyncio.create_task(first.tick(1))
+            await _until(
+                lambda: router.admin_health()["workers"][1]["inflight"] == 1
+            )
+            try:
+                await second.tick(2)
+                refusal = None
+            except ServeError as exc:
+                refusal = exc
+            release.set()
+            tick = await asyncio.wait_for(waiting, timeout=5.0)
+            await first.close()
+            await second.close()
+            await router.shutdown()
+            return refusal, tick
+
+        refusal, tick = asyncio.run(main())
+        assert refusal is not None and refusal.kind == "backpressure"
+        assert "hold limit 1" in refusal.message
+        assert tick["applied_time"] == 1
 
 
 class TestBackpressureAndValidation:

@@ -3,6 +3,11 @@ supervised router respawn it from its WAL and the direct clients
 re-handshake, and demand the clustered aggregate still equal the inline
 replay byte for byte."""
 
+import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,3 +130,43 @@ class TestChaosRun:
         # severed ones back through the route table.
         assert detail["handshakes"] >= len(instance.tenants)
         assert detail["retried_ops"] >= 1
+
+    def test_tcp_workers_survive_two_kills(self, sock_path):
+        """The same two kills over TCP workers.  A tenant idle at a kill
+        holds a cached link whose peer is gone, and over TCP a write
+        after the FIN succeeds, so its next call must fail fast and
+        recover instead of waiting forever.  The run goes in a child
+        process with a timeout, so a hang fails the test."""
+        script = (
+            "import json, sys\n"
+            "from repro.cluster.loadgen import build_cluster_instance\n"
+            "from repro.durable.chaos import run_chaos\n"
+            "instance = build_cluster_instance(\n"
+            "    'markov', 48, 9, num_resources=6, tenants_per_resource=2,\n"
+            "    num_workers=2, shards_per_worker=1, record=True,\n"
+            "    wal_root=sys.argv[1], fsync='always', transport='tcp',\n"
+            ")\n"
+            "outcome = run_chaos(instance)\n"
+            "print(json.dumps({'ok': outcome.ok, 'kills': len(outcome.executed),\n"
+            "                  'respawns': outcome.respawns}))\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        # Its own session, so a timeout reaps the worker fleet too.
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, sock_path + ".wal"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env, start_new_session=True,
+        )
+        try:
+            stdout, stderr = child.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("chaos over TCP workers did not finish in 120 s")
+        assert child.returncode == 0, stderr
+        outcome = json.loads(stdout.strip().splitlines()[-1])
+        assert outcome == {"ok": True, "kills": 2, "respawns": 2}

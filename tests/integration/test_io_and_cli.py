@@ -1,6 +1,9 @@
 """Tests for instance serialization round-trips and the CLI."""
 
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +163,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert "parking-markov" in err
         assert "shardable" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--wal-dir", "{wal}"], "corrupt snapshot"),
+            (["--shards", "9", "--resources", "8"], "num_shards (9)"),
+        ],
+        ids=["corrupt-snapshot", "too-many-shards"],
+    )
+    def test_engine_serve_refuses_bad_state_in_one_line(
+        self, argv, message, capsys
+    ):
+        workdir = Path(tempfile.mkdtemp(prefix="rcli-"))
+        try:
+            shard = workdir / "wal" / "shard-0"
+            shard.mkdir(parents=True)
+            (shard / "snap.json").write_text(
+                '{"version": 1, "seq": 0, "state": {}}'
+            )
+            code = main(
+                ["engine", "serve", "--socket", str(workdir / "s.sock")]
+                + [arg.format(wal=workdir / "wal") for arg in argv]
+            )
+        finally:
+            shutil.rmtree(workdir, ignore_errors=True)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.out + captured.err
 
     def test_engine_loadgen_in_process(self, capsys):
         assert main(
